@@ -58,6 +58,22 @@ make_trace(const serve::Server &server, double rate_rps,
     return gen.generate();
 }
 
+serve::ClosedLoopScript
+make_closed_script(const serve::Server &server, int clients,
+                   int64_t per_client, double think = 1e-3)
+{
+    serve::LoadGeneratorOptions lopts;
+    lopts.num_requests = clients * per_client;
+    lopts.slo_deadline = 50e-3;
+    lopts.seed = 13;
+    serve::LoadGenerator gen(server.popularity(), lopts);
+    serve::ClosedLoopOptions copts;
+    copts.num_clients = clients;
+    copts.requests_per_client = per_client;
+    copts.think_time = think;
+    return gen.generate_closed(copts);
+}
+
 // ---------------------------------------------------------------------
 // LoadGenerator
 // ---------------------------------------------------------------------
@@ -863,6 +879,77 @@ TEST(Serve, StatsAccountHostExecution)
     EXPECT_EQ(st.offered, 128);
     EXPECT_GT(st.throughput_rps, 0.0);
     EXPECT_GE(st.throughput_rps, st.goodput_rps);
+}
+
+// ---------------------------------------------------------------------
+// Server: golden fingerprints
+// ---------------------------------------------------------------------
+
+// Digests of fixed serving runs on the products() replica (fanouts
+// {5,10,15}, server seed 11, trace seed 13). They pin the virtual world
+// of both entry points — every admission decision, batch composition,
+// latency bit pattern and prediction — so a refactor of the serving
+// harness must leave them untouched. Change one only when the serving
+// model intentionally moves.
+constexpr uint64_t kGoldenOpenLoop = 0x3D9E169AABFB5D9CULL;
+constexpr uint64_t kGoldenClosedLoop = 0xB9F46D67B63D3C70ULL;
+constexpr uint64_t kGoldenLogits = 0xC7A919FD919677B5ULL;
+constexpr uint64_t kGoldenScaledClosedLoop = 0xA1DCA48FD71D930CULL;
+constexpr uint64_t kGoldenScaledClosedProfile = 0x5D1CB2E2085B3705ULL;
+
+TEST(ServeGolden, OpenLoopFingerprintIsPinnedAtAnyWidth)
+{
+    for (int workers : {1, 4, 8}) {
+        auto opts = base_server_options();
+        opts.worker_threads = workers;
+        serve::Server server(products(), opts);
+        server.serve(make_trace(server, 3000.0, 384));
+        EXPECT_EQ(server.last_stats().fingerprint, kGoldenOpenLoop)
+            << "workers=" << workers;
+    }
+}
+
+TEST(ServeGolden, ClosedLoopFingerprintIsPinnedAtAnyWidth)
+{
+    for (int workers : {1, 4, 8}) {
+        auto opts = base_server_options();
+        opts.worker_threads = workers;
+        serve::Server server(products(), opts);
+        server.serve_closed(make_closed_script(server, 8, 24));
+        EXPECT_EQ(server.last_stats().fingerprint, kGoldenClosedLoop)
+            << "workers=" << workers;
+    }
+}
+
+TEST(ServeGolden, RealForwardFingerprintIsPinnedAtAnyWidth)
+{
+    for (int workers : {1, 4, 8}) {
+        auto opts = base_server_options();
+        opts.worker_threads = workers;
+        opts.compute_logits = true;
+        serve::Server server(products(), opts);
+        server.serve(make_trace(server, 2000.0, 64));
+        EXPECT_EQ(server.last_stats().fingerprint, kGoldenLogits)
+            << "workers=" << workers;
+    }
+}
+
+TEST(ServeGolden, MultiGpuAutoscaledClosedLoopIsPinnedAtAnyWidth)
+{
+    for (int workers : {1, 4, 8}) {
+        auto opts = base_server_options();
+        opts.worker_threads = workers;
+        opts.num_gpus = 2;
+        opts.autoscale.enabled = true;
+        opts.profile = true;
+        serve::Server server(products(), opts);
+        server.serve_closed(make_closed_script(server, 8, 24));
+        const serve::ServingStats &st = server.last_stats();
+        EXPECT_EQ(st.fingerprint, kGoldenScaledClosedLoop)
+            << "workers=" << workers;
+        EXPECT_EQ(st.profile.fingerprint(), kGoldenScaledClosedProfile)
+            << "workers=" << workers;
+    }
 }
 
 } // namespace
