@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "match/gather_engine.h"
-#include "util/logging.h"
+#include "util/in_order_ring.h"
 
 namespace fastgl {
 namespace core {
@@ -152,55 +152,20 @@ AsyncPipeline::run_epoch()
     struct GpuState
     {
         std::mutex mu;
-        size_t next_window = 0;
-        /**
-         * Reassembly ring indexed by window sequence number modulo its
-         * capacity (no per-window node allocations, unlike the former
-         * std::map). It is seeded with room for the usual number of
-         * in-flight windows — one per producer thread (claimed, not
-         * yet pushed), queue_depth in the batch queue, one per gather
-         * thread (popped, waiting on this lock) — but that count is an
-         * estimate, not a bound: windows already *parked* here also
-         * widen index - next_window, and when the window at
-         * next_window samples slowly (e.g. high-degree seeds) the
-         * other producers keep claiming later windows with no
-         * backpressure. grow() re-homes parked windows into a larger
-         * ring in that rare case, so the common path stays
-         * allocation-free while the semantics stay as unbounded as the
-         * map this replaced.
-         */
-        std::vector<WindowItem> ring;
-        std::vector<char> occupied;
+        util::InOrderRing<WindowItem> ring;
         match::Matcher matcher;
-
-        /** Double the ring until @p min_cap fits; caller holds mu. */
-        void grow(size_t min_cap)
-        {
-            size_t cap = ring.size();
-            while (cap < min_cap)
-                cap *= 2;
-            std::vector<WindowItem> bigger(cap);
-            std::vector<char> parked(cap, 0);
-            for (size_t i = 0; i < ring.size(); ++i) {
-                if (!occupied[i])
-                    continue;
-                const size_t slot = ring[i].ref.index % cap;
-                bigger[slot] = std::move(ring[i]);
-                parked[slot] = 1;
-            }
-            ring.swap(bigger);
-            occupied.swap(parked);
-        }
     };
     std::vector<GpuState> gpus(static_cast<size_t>(total));
-    // Common-case capacity; GpuState::grow() covers the overflow case.
+    // Seeded with the usual number of in-flight windows — one per
+    // producer thread (claimed, not yet pushed), queue_depth in the
+    // batch queue, one per gather thread (popped, waiting on the GPU
+    // lock). Windows parked behind a slow one can exceed that; the
+    // ring then grows instead of failing.
     const size_t initial_ring_cap = async_.queue_depth +
                                     static_cast<size_t>(sampler_threads_) +
                                     static_cast<size_t>(gather_threads_) + 1;
-    for (GpuState &state : gpus) {
-        state.ring.resize(initial_ring_cap);
-        state.occupied.assign(initial_ring_cap, 0);
-    }
+    for (GpuState &state : gpus)
+        state.ring = util::InOrderRing<WindowItem>(initial_ring_cap);
 
     std::atomic<size_t> window_cursor{0};
     std::atomic<int64_t> windows_produced{0};
@@ -265,20 +230,9 @@ AsyncPipeline::run_epoch()
                     gpus[static_cast<size_t>(item->ref.gpu)];
                 std::lock_guard<std::mutex> lock(state.mu);
                 const size_t index = item->ref.index;
-                FASTGL_CHECK(index >= state.next_window,
-                             "window sequence number regressed");
-                if (index - state.next_window >= state.ring.size())
-                    state.grow(index - state.next_window + 1);
-                const size_t cap = state.ring.size();
-                const size_t slot = index % cap;
-                state.ring[slot] = std::move(*item);
-                state.occupied[slot] = 1;
-                while (state.occupied[state.next_window % cap]) {
-                    const size_t head = state.next_window % cap;
-                    WindowItem window = std::move(state.ring[head]);
-                    state.ring[head] = WindowItem{};
-                    state.occupied[head] = 0;
-                    ++state.next_window;
+                state.ring.put(index, std::move(*item));
+                while (state.ring.ready()) {
+                    WindowItem window = state.ring.pop();
 
                     const Clock::time_point t0 = Clock::now();
                     const std::vector<size_t> order =

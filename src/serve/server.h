@@ -51,6 +51,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -470,6 +471,29 @@ class Server
      *  (batchers, caches, admission, dispatch, profiler); defined in
      *  server.cpp, driven only by the sequencer thread. */
     struct Engine;
+    /** One pre-sampled request, handed from a worker to the sequencer. */
+    struct Sampled;
+    using DoneQueue = util::BoundedQueue<Sampled>;
+    /**
+     * Arrival driver of one run, executed on the sequencer thread:
+     * pulls sampled requests off the done queue in whatever order the
+     * workers finish them, feeds them to the event machine in the
+     * order its arrival process decides, and returns how many
+     * requests it processed.
+     */
+    using Driver = std::function<size_t(Engine &, DoneQueue &)>;
+
+    /**
+     * The serving harness behind serve() and serve_closed(): validates
+     * @p requests (dense ids, hosted tiers), runs the feeder, the
+     * sampler workers and a sequencer thread executing @p drive, joins
+     * them, rethrows the first stage error, and folds the run into
+     * last_stats(). @p closed_clients is reported as
+     * ServingStats::closed_loop_clients (0 = open loop).
+     */
+    std::vector<InferenceResponse>
+    run(std::span<const InferenceRequest> requests, int closed_clients,
+        const Driver &drive);
 
     /** One hosted tier's resolved runtime state. */
     struct Tier

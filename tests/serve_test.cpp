@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "graph/datasets.h"
@@ -73,6 +75,18 @@ make_closed_script(const serve::Server &server, int clients,
     copts.think_time = think;
     return gen.generate_closed(copts);
 }
+
+// Digests of fixed serving runs on the products() replica (fanouts
+// {5,10,15}, server seed 11, trace seed 13). They pin the virtual world
+// of both entry points — every admission decision, batch composition,
+// latency bit pattern and prediction — so a refactor of the serving
+// harness must leave them untouched. Change one only when the serving
+// model intentionally moves.
+constexpr uint64_t kGoldenOpenLoop = 0x3D9E169AABFB5D9CULL;
+constexpr uint64_t kGoldenClosedLoop = 0xB9F46D67B63D3C70ULL;
+constexpr uint64_t kGoldenLogits = 0xC7A919FD919677B5ULL;
+constexpr uint64_t kGoldenScaledClosedLoop = 0xA1DCA48FD71D930CULL;
+constexpr uint64_t kGoldenScaledClosedProfile = 0x5D1CB2E2085B3705ULL;
 
 // ---------------------------------------------------------------------
 // LoadGenerator
@@ -481,47 +495,111 @@ TEST(Serve, FeatureCacheReducesPcieTraffic)
 // Server: lifecycle
 // ---------------------------------------------------------------------
 
+/** The two serving entry points; the lifecycle contract holds for both. */
+enum class Loop
+{
+    kOpen,
+    kClosed,
+};
+
+/** Serve @p num_requests through @p loop: a 5000 rps open-loop trace,
+ *  or a closed loop of 8 clients with 0.2 ms think times. */
+std::vector<serve::InferenceResponse>
+serve_through(serve::Server &server, Loop loop, int64_t num_requests)
+{
+    if (loop == Loop::kOpen)
+        return server.serve(make_trace(server, 5000.0, num_requests));
+    return server.serve_closed(
+        make_closed_script(server, 8, num_requests / 8, 0.2e-3));
+}
+
 TEST(Serve, RequestStopMidFlightReturnsPrefixWithoutDeadlock)
 {
-    auto opts = base_server_options();
-    opts.worker_threads = 4;
-    serve::Server *handle = nullptr;
-    std::atomic<int> sampled{0};
-    opts.sample_hook = [&](int64_t) {
-        if (sampled.fetch_add(1) == 32)
-            handle->request_stop();
-    };
-    serve::Server server(products(), opts);
-    handle = &server;
-    const auto trace = make_trace(server, 5000.0, 512);
+    for (Loop loop : {Loop::kOpen, Loop::kClosed}) {
+        SCOPED_TRACE(loop == Loop::kOpen ? "open loop" : "closed loop");
+        auto opts = base_server_options();
+        opts.worker_threads = 4;
+        serve::Server *handle = nullptr;
+        std::atomic<int> sampled{0};
+        opts.sample_hook = [&](int64_t) {
+            if (sampled.fetch_add(1) == 32)
+                handle->request_stop();
+        };
+        serve::Server server(products(), opts);
+        handle = &server;
 
-    const auto responses = server.serve(trace); // must return, not hang
-    const serve::ServingStats st = server.last_stats();
-    EXPECT_TRUE(st.stopped_early);
-    EXPECT_TRUE(server.stop_requested());
-    EXPECT_LT(st.offered, 512);
-    ASSERT_EQ(responses.size(), 512u);
-    // The unprocessed suffix is marked as such.
-    EXPECT_EQ(responses.back().outcome, serve::Outcome::kUnprocessed);
+        // Must return, not hang.
+        const auto responses = serve_through(server, loop, 512);
+        const serve::ServingStats st = server.last_stats();
+        EXPECT_TRUE(st.stopped_early);
+        EXPECT_TRUE(server.stop_requested());
+        EXPECT_LT(st.offered, 512);
+        ASSERT_EQ(responses.size(), 512u);
+        // The unprocessed suffix is marked as such.
+        EXPECT_EQ(responses.back().outcome,
+                  serve::Outcome::kUnprocessed);
 
-    // A fresh serve() after the stop runs to completion.
-    sampled.store(1 << 20);
-    server.serve(trace);
-    EXPECT_FALSE(server.last_stats().stopped_early);
-    EXPECT_EQ(server.last_stats().offered, 512);
+        // A fresh run after the stop runs to completion.
+        sampled.store(1 << 20);
+        serve_through(server, loop, 512);
+        EXPECT_FALSE(server.last_stats().stopped_early);
+        EXPECT_EQ(server.last_stats().offered, 512);
+    }
 }
 
 TEST(Serve, WorkerExceptionPropagatesToCaller)
 {
+    for (Loop loop : {Loop::kOpen, Loop::kClosed}) {
+        SCOPED_TRACE(loop == Loop::kOpen ? "open loop" : "closed loop");
+        auto opts = base_server_options();
+        opts.worker_threads = 3;
+        opts.sample_hook = [](int64_t id) {
+            if (id == 40)
+                throw std::runtime_error("sampler worker died");
+        };
+        serve::Server server(products(), opts);
+        EXPECT_THROW(serve_through(server, loop, 128),
+                     std::runtime_error);
+    }
+}
+
+TEST(Serve, StalledRequestGrowsReassemblyRingWithoutChangingResults)
+{
+    // Request 0 samples last: its worker stalls until several queue
+    // depths of later requests have been sampled, so the sequencer
+    // must park them all and grow its reassembly ring past the seeded
+    // capacity. The replay order — and so every virtual decision —
+    // must not notice.
     auto opts = base_server_options();
-    opts.worker_threads = 3;
-    opts.sample_hook = [](int64_t id) {
-        if (id == 40)
-            throw std::runtime_error("sampler worker died");
+    opts.worker_threads = 4;
+    serve::Server plain(products(), opts);
+    const auto trace = make_trace(plain, 3000.0, 384);
+    plain.serve(trace);
+
+    const int stall_until =
+        5 * static_cast<int>(opts.queue_depth) + opts.worker_threads;
+    std::atomic<int> others{0};
+    std::atomic<int> seen_at_release{0};
+    opts.sample_hook = [&](int64_t id) {
+        if (id != 0) {
+            others.fetch_add(1);
+            return;
+        }
+        // Bounded wait, so a broken pipeline fails the check below
+        // instead of hanging the suite.
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (others.load() < stall_until &&
+               std::chrono::steady_clock::now() < give_up)
+            std::this_thread::yield();
+        seen_at_release.store(others.load());
     };
-    serve::Server server(products(), opts);
-    const auto trace = make_trace(server, 5000.0, 128);
-    EXPECT_THROW(server.serve(trace), std::runtime_error);
+    serve::Server stalled(products(), opts);
+    const auto responses = stalled.serve(trace);
+    EXPECT_GE(seen_at_release.load(), stall_until);
+    expect_identical_serving(plain.last_stats(), stalled.last_stats());
+    EXPECT_EQ(stalled.last_stats().fingerprint, kGoldenOpenLoop);
+    EXPECT_NE(responses.front().outcome, serve::Outcome::kUnprocessed);
 }
 
 // ---------------------------------------------------------------------
@@ -884,18 +962,6 @@ TEST(Serve, StatsAccountHostExecution)
 // ---------------------------------------------------------------------
 // Server: golden fingerprints
 // ---------------------------------------------------------------------
-
-// Digests of fixed serving runs on the products() replica (fanouts
-// {5,10,15}, server seed 11, trace seed 13). They pin the virtual world
-// of both entry points — every admission decision, batch composition,
-// latency bit pattern and prediction — so a refactor of the serving
-// harness must leave them untouched. Change one only when the serving
-// model intentionally moves.
-constexpr uint64_t kGoldenOpenLoop = 0x3D9E169AABFB5D9CULL;
-constexpr uint64_t kGoldenClosedLoop = 0xB9F46D67B63D3C70ULL;
-constexpr uint64_t kGoldenLogits = 0xC7A919FD919677B5ULL;
-constexpr uint64_t kGoldenScaledClosedLoop = 0xA1DCA48FD71D930CULL;
-constexpr uint64_t kGoldenScaledClosedProfile = 0x5D1CB2E2085B3705ULL;
 
 TEST(ServeGolden, OpenLoopFingerprintIsPinnedAtAnyWidth)
 {

@@ -1,13 +1,17 @@
 /**
  * @file
  * Unit tests for fastgl::util — RNG determinism/uniformity, statistics
- * accumulators, table rendering and the thread pool.
+ * accumulators, table rendering, the thread pool and the in-order
+ * reassembly ring.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
+#include <vector>
 
+#include "util/in_order_ring.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/table.h"
@@ -273,6 +277,66 @@ TEST(Timers, IntervalTimerAccumulates)
     EXPECT_GE(timer.total_seconds(), 0.0);
     timer.clear();
     EXPECT_EQ(timer.intervals(), 0u);
+}
+
+/** Drain every ready item of @p ring into @p out. */
+void
+drain_ready(util::InOrderRing<std::unique_ptr<int>> &ring,
+            std::vector<int> &out)
+{
+    while (ring.ready())
+        out.push_back(*ring.pop());
+}
+
+TEST(InOrderRing, OutOfOrderPutsComeBackInOrder)
+{
+    util::InOrderRing<std::unique_ptr<int>> ring(4);
+    std::vector<int> out;
+    for (size_t seq : {2, 1, 3, 0, 5, 4, 7, 6}) {
+        ring.put(seq, std::make_unique<int>(static_cast<int>(seq)));
+        drain_ready(ring, out);
+    }
+    EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+    EXPECT_EQ(ring.next(), 8u);
+    EXPECT_FALSE(ring.ready());
+    // Every item fitted the initial window: no growth.
+    EXPECT_EQ(ring.capacity(), 4u);
+}
+
+TEST(InOrderRing, PutBeyondCapacityGrowsAndKeepsParkedItems)
+{
+    util::InOrderRing<std::unique_ptr<int>> ring(4);
+    std::vector<int> out;
+    // Release a prefix so the window no longer starts at slot 0 —
+    // re-homing must follow the window offset, not the raw slot.
+    for (size_t seq : {0, 1, 2})
+        ring.put(seq, std::make_unique<int>(static_cast<int>(seq)));
+    drain_ready(ring, out);
+    ASSERT_EQ(ring.next(), 3u);
+    // Park 4..6 behind the missing 3, then land one a full capacity
+    // and more ahead of next().
+    for (size_t seq : {5, 4, 6})
+        ring.put(seq, std::make_unique<int>(static_cast<int>(seq)));
+    ring.put(13, std::make_unique<int>(13));
+    EXPECT_GE(ring.capacity(), 11u);
+    EXPECT_FALSE(ring.ready());
+    for (size_t seq : {3, 12, 8, 7, 11, 9, 10}) {
+        ring.put(seq, std::make_unique<int>(static_cast<int>(seq)));
+        drain_ready(ring, out);
+    }
+    std::vector<int> expected(14);
+    for (int i = 0; i < 14; ++i)
+        expected[static_cast<size_t>(i)] = i;
+    EXPECT_EQ(out, expected);
+}
+
+TEST(InOrderRingDeathTest, RegressedSequenceNumberDies)
+{
+    util::InOrderRing<int> ring(4);
+    ring.put(0, 0);
+    ring.put(1, 1);
+    EXPECT_EQ(ring.pop(), 0);
+    EXPECT_DEATH(ring.put(0, 0), "sequence number regressed");
 }
 
 } // namespace
