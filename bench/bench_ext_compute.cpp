@@ -25,6 +25,7 @@
 #include "compute/tensor.h"
 #include "sample/minibatch.h"
 #include "sim/gpu_spec.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace {
@@ -43,15 +44,8 @@ seconds_since(Clock::time_point start)
 uint64_t
 tensor_hash(const Tensor &x)
 {
-    uint64_t h = 0xCBF29CE484222325ULL;
-    const auto *bytes =
-        reinterpret_cast<const unsigned char *>(x.data());
-    const size_t n = static_cast<size_t>(x.numel()) * sizeof(float);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= bytes[i];
-        h *= 0x100000001B3ULL;
-    }
-    return h;
+    return util::fnv_bytes(x.data(),
+                           static_cast<size_t>(x.numel()) * sizeof(float));
 }
 
 // ------------------------------------------------------------------

@@ -37,6 +37,7 @@
 #include "match/feature_cache.h"
 #include "match/gather_engine.h"
 #include "sample/frequency_hashmap.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace {
@@ -45,24 +46,13 @@ using namespace fastgl;
 using graph::FeatureStore;
 using graph::NodeId;
 using match::GatherEngine;
+using util::fnv_bytes;
 using Clock = std::chrono::steady_clock;
 
 double
 seconds_since(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-uint64_t
-fnv_bytes(const void *data, size_t bytes)
-{
-    uint64_t h = 0xCBF29CE484222325ULL;
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-        h ^= p[i];
-        h *= 0x100000001B3ULL;
-    }
-    return h;
 }
 
 // ------------------------------------------------------------------
@@ -134,7 +124,7 @@ struct GatherCase
     int reps;
     double legacy_s = 0.0;
     double best_engine_s = 0.0;
-    std::vector<ThreadRow> rows;
+    std::vector<ThreadRow> rows{};
 };
 
 /** Run legacy staging + the engine thread sweep for one geometry. */

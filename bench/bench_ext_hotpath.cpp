@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "graph/generators.h"
+#include "util/fnv.h"
 #include "util/logging.h"
 #include "match/match_degree.h"
 #include "sample/fused_hash_table.h"
@@ -36,6 +37,7 @@
 namespace {
 
 using namespace fastgl;
+using util::fnv;
 using Clock = std::chrono::steady_clock;
 
 double
@@ -45,19 +47,9 @@ seconds_since(Clock::time_point start)
 }
 
 uint64_t
-fnv(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xFF;
-        h *= 0x100000001B3ULL;
-    }
-    return h;
-}
-
-uint64_t
 hash_subgraph(const sample::SampledSubgraph &sg)
 {
-    uint64_t h = 0xCBF29CE484222325ULL;
+    uint64_t h = util::kFnvOffset;
     h = fnv(h, static_cast<uint64_t>(sg.num_seeds));
     h = fnv(h, static_cast<uint64_t>(sg.instances));
     for (graph::NodeId n : sg.nodes)

@@ -28,22 +28,12 @@
 #include <vector>
 
 #include "fastgl.h"
+#include "util/fnv.h"
 
 namespace {
 
 using namespace fastgl;
-
-uint64_t
-fnv_bytes(const void *data, size_t bytes)
-{
-    uint64_t h = 0xCBF29CE484222325ULL;
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-        h ^= p[i];
-        h *= 0x100000001B3ULL;
-    }
-    return h;
-}
+using util::fnv_bytes;
 
 struct OocConfig
 {

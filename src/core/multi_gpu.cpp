@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <limits>
 #include <queue>
 #include <string>
 
+#include "util/fnv.h"
 #include "util/logging.h"
 
 namespace fastgl {
@@ -14,26 +14,9 @@ namespace core {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 0xCBF29CE484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001B3ULL;
-
-uint64_t
-fnv(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xFF;
-        h *= kFnvPrime;
-    }
-    return h;
-}
-
-uint64_t
-double_bits(double x)
-{
-    uint64_t bits = 0;
-    std::memcpy(&bits, &x, sizeof(bits));
-    return bits;
-}
+using util::double_bits;
+using util::fnv;
+using util::kFnvOffset;
 
 /**
  * Symmetric data parallelism on the static list scheduler: each device

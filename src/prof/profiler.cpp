@@ -1,31 +1,16 @@
 #include "prof/profiler.h"
 
 #include <cstdio>
-#include <cstring>
+
+#include "util/fnv.h"
 
 namespace fastgl {
 namespace prof {
 
 namespace {
 
-/** FNV-1a fold of one 64-bit word (same shape as the serving digest). */
-uint64_t
-fnv(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xFF;
-        h *= 0x100000001B3ULL;
-    }
-    return h;
-}
-
-uint64_t
-double_bits(double x)
-{
-    uint64_t bits = 0;
-    std::memcpy(&bits, &x, sizeof(bits));
-    return bits;
-}
+using util::double_bits;
+using util::fnv;
 
 /** Percentile snapshot of one raw accumulator. */
 StageSummary
@@ -246,7 +231,7 @@ Profiler::report()
 uint64_t
 ProfileReport::fingerprint() const
 {
-    uint64_t h = 0xCBF29CE484222325ULL;
+    uint64_t h = util::kFnvOffset;
     h = fnv(h, enabled ? 1 : 0);
     h = fnv(h, double_bits(makespan));
     h = fnv(h, stages.size());

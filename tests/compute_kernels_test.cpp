@@ -20,6 +20,7 @@
 #include "compute/kernel_engine.h"
 #include "compute/ops.h"
 #include "sample/minibatch.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace fastgl {
@@ -162,18 +163,12 @@ bitwise_equal(const Tensor &x, const Tensor &y)
                0;
 }
 
-/** FNV-1a over a tensor's raw bytes (same constants as hotpath_test). */
+/** FNV-1a over a tensor's raw bytes. */
 uint64_t
 tensor_hash(const Tensor &x)
 {
-    uint64_t h = 0xCBF29CE484222325ULL;
-    const auto *bytes = reinterpret_cast<const unsigned char *>(x.data());
-    const size_t n = static_cast<size_t>(x.numel()) * sizeof(float);
-    for (size_t i = 0; i < n; ++i) {
-        h ^= bytes[i];
-        h *= 0x100000001B3ULL;
-    }
-    return h;
+    return util::fnv_bytes(x.data(),
+                           static_cast<size_t>(x.numel()) * sizeof(float));
 }
 
 /** Random tensor with a sprinkling of exact zeros (zero-skip paths). */

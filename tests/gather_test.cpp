@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstring>
 #include <numeric>
 #include <thread>
 #include <unordered_map>
@@ -24,6 +23,7 @@
 #include "match/feature_cache.h"
 #include "match/gather_engine.h"
 #include "sample/frequency_hashmap.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 
 namespace fastgl {
@@ -35,18 +35,7 @@ using match::FeaturePanel;
 using match::GatherEngine;
 using match::StaticFeatureCache;
 using sample::FrequencyHashmap;
-
-uint64_t
-fnv_bytes(const void *data, size_t bytes)
-{
-    uint64_t h = 0xCBF29CE484222325ULL;
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-        h ^= p[i];
-        h *= 0x100000001B3ULL;
-    }
-    return h;
-}
+using util::fnv_bytes;
 
 /** The legacy gather: one gather_row call per node into a flat buffer. */
 std::vector<float>

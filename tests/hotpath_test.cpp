@@ -19,6 +19,7 @@
 #include "sample/random_walk_sampler.h"
 #include "util/arena.h"
 #include "util/bitmap.h"
+#include "util/fnv.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -364,22 +365,13 @@ TEST(Reorder, MaxOverlapIsPoolInvariant)
 // merge-join intersections, per-call heap scratch, unordered_map visit
 // counts). The overhauled hot paths must reproduce them bit for bit.
 
-uint64_t
-fnv(uint64_t h, uint64_t v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xFF;
-        h *= 0x100000001B3ULL;
-    }
-    return h;
-}
-
-constexpr uint64_t kFnvSeed = 0xCBF29CE484222325ULL;
+using util::fnv;
+using util::kFnvOffset;
 
 uint64_t
 hash_subgraph(const sample::SampledSubgraph &sg)
 {
-    uint64_t h = kFnvSeed;
+    uint64_t h = kFnvOffset;
     h = fnv(h, static_cast<uint64_t>(sg.num_seeds));
     h = fnv(h, static_cast<uint64_t>(sg.instances));
     h = fnv(h, static_cast<uint64_t>(sg.edges_examined));
@@ -399,9 +391,7 @@ hash_subgraph(const sample::SampledSubgraph &sg)
 uint64_t
 hash_double(uint64_t h, double d)
 {
-    uint64_t bits;
-    std::memcpy(&bits, &d, sizeof(bits));
-    return fnv(h, bits);
+    return fnv(h, util::double_bits(d));
 }
 
 class GoldenBehavior : public ::testing::Test
@@ -430,7 +420,7 @@ TEST_F(GoldenBehavior, NeighborSamplerUnchanged)
     sample::NeighborSamplerOptions o;
     o.fanouts = {5, 10, 15};
     sample::NeighborSampler s(graph, o);
-    uint64_t h = kFnvSeed;
+    uint64_t h = kFnvOffset;
     for (uint64_t k = 0; k < 4; ++k)
         h = fnv(h, hash_subgraph(s.sample(seeds, 1000 + k)));
     EXPECT_EQ(h, 0xDDACC40CDE0F4ECCULL);
@@ -450,7 +440,7 @@ TEST_F(GoldenBehavior, RandomWalkSamplerUnchanged)
 {
     sample::RandomWalkOptions o;
     sample::RandomWalkSampler s(graph, o);
-    uint64_t h = kFnvSeed;
+    uint64_t h = kFnvOffset;
     for (uint64_t k = 0; k < 4; ++k)
         h = fnv(h, hash_subgraph(s.sample(seeds, 2000 + k)));
     EXPECT_EQ(h, 0x0DA1FDDEB07C3450ULL);
@@ -462,7 +452,7 @@ TEST_F(GoldenBehavior, LayerSamplerUnchanged)
     o.layer_sizes = {512, 256};
     o.seed = 31;
     sample::LayerSampler s(graph, o);
-    uint64_t h = kFnvSeed;
+    uint64_t h = kFnvOffset;
     for (int k = 0; k < 3; ++k)
         h = fnv(h, hash_subgraph(s.sample(seeds)));
     EXPECT_EQ(h, 0x7AB1C1D67AA48D1CULL);
@@ -481,14 +471,14 @@ TEST(GoldenMatch, MatrixStatsAndReorderUnchanged)
         sets.emplace_back(v);
     }
     const auto m = match::match_degree_matrix(sets);
-    uint64_t h = kFnvSeed;
+    uint64_t h = kFnvOffset;
     for (const auto &row : m)
         for (double d : row)
             h = hash_double(h, d);
     EXPECT_EQ(h, 0xB74D0FBC2B736611ULL);
 
     const auto st = match::match_degree_stats(sets);
-    uint64_t hs = kFnvSeed;
+    uint64_t hs = kFnvOffset;
     hs = hash_double(hs, st.average);
     hs = hash_double(hs, st.min);
     hs = hash_double(hs, st.max);
@@ -497,7 +487,7 @@ TEST(GoldenMatch, MatrixStatsAndReorderUnchanged)
     const auto rr = match::greedy_reorder(sets);
     const auto ra = match::greedy_reorder_max_overlap(&sets[0], sets);
     const auto rn = match::greedy_reorder_max_overlap(nullptr, sets);
-    uint64_t hr = kFnvSeed;
+    uint64_t hr = kFnvOffset;
     for (auto i : rr.order)
         hr = fnv(hr, static_cast<uint64_t>(i));
     for (auto i : ra.order)

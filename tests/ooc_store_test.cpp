@@ -25,27 +25,17 @@
 #include "store/io_scheduler.h"
 #include "store/prefetcher.h"
 #include "store/tiered_store.h"
+#include "util/fnv.h"
 
 namespace fastgl {
 namespace {
 
 using graph::NodeId;
+using util::fnv_bytes;
 
 /** Pinned from a reference run of GoldenOutOfCoreEpochHash; moves only
  *  when the numeric path or the storage model changes behaviour. */
 constexpr uint64_t kGoldenOocEpochHash = 0xEC028008A563EDD0ULL;
-
-uint64_t
-fnv_bytes(const void *data, size_t bytes)
-{
-    uint64_t h = 0xCBF29CE484222325ULL;
-    const auto *p = static_cast<const unsigned char *>(data);
-    for (size_t i = 0; i < bytes; ++i) {
-        h ^= p[i];
-        h *= 0x100000001B3ULL;
-    }
-    return h;
-}
 
 graph::Dataset
 tiny_reddit()
