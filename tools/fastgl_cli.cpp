@@ -548,6 +548,24 @@ run_train(const Args &args)
 int
 run_serve(const Args &args)
 {
+    // Reject workload arguments the server would otherwise coerce or
+    // die on, before the replica load.
+    const int64_t rate = args.get_int("rate", 20000);
+    if (rate <= 0)
+        util::fatal("--rate must be > 0 requests/s (got " +
+                    std::to_string(rate) + ")");
+    const int64_t batch_max = args.get_int("batch-max", 32);
+    if (batch_max < 1)
+        util::fatal("--batch-max must be >= 1 (got " +
+                    std::to_string(batch_max) + ")");
+    const int64_t requests = args.get_int("requests", 2048);
+    const int64_t clients = args.get_int("clients", 0);
+    if (clients > 0 && requests < clients)
+        util::fatal("--requests " + std::to_string(requests) +
+                    " is fewer than --clients " +
+                    std::to_string(clients) +
+                    ": every closed-loop client issues >= 1 request");
+
     graph::ReplicaOptions ropts;
     ropts.materialize_features = false;
     ropts.size_factor = double(args.get_int("scale-pct", 100)) / 100.0;
@@ -557,7 +575,7 @@ run_serve(const Args &args)
     serve::ServerOptions sopts;
     sopts.worker_threads = int(args.get_int("threads", 4));
     sopts.model.type = parse_model(args.get("model", "gcn"));
-    sopts.batcher.max_batch = int(args.get_int("batch-max", 32));
+    sopts.batcher.max_batch = int(batch_max);
     sopts.batcher.max_wait =
         double(args.get_int("wait-us", 2000)) / 1e6;
     sopts.admission.max_pending = args.get_int("max-pending", 64);
@@ -621,9 +639,9 @@ run_serve(const Args &args)
     }
     serve::Server server(ds, sopts);
 
-    lopts.rate_rps = double(args.get_int("rate", 20000));
+    lopts.rate_rps = double(rate);
     lopts.trace = parse_trace(args.get("trace", "const"));
-    lopts.num_requests = args.get_int("requests", 2048);
+    lopts.num_requests = requests;
     lopts.targets_per_request = int(args.get_int("targets", 1));
     lopts.slo_deadline =
         double(args.get_int("slo-ms", 20)) / 1e3;
@@ -635,10 +653,10 @@ run_serve(const Args &args)
     // --clients N turns the run into a closed loop: the trace length
     // is rounded down to a whole number of requests per client.
     serve::ClosedLoopOptions copts;
-    copts.num_clients = int(args.get_int("clients", 0));
+    copts.num_clients = int(clients);
     if (copts.num_clients > 0) {
-        copts.requests_per_client = std::max<int64_t>(
-            1, lopts.num_requests / copts.num_clients);
+        copts.requests_per_client =
+            lopts.num_requests / copts.num_clients;
         copts.think_time = double(args.get_int("think-us", 2000)) / 1e6;
         lopts.num_requests =
             copts.requests_per_client * copts.num_clients;
