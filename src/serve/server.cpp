@@ -1158,18 +1158,18 @@ Server::serve_closed(const ClosedLoopScript &script)
                  "closed-loop script requests must divide evenly "
                  "across clients");
 
+    // Client state, touched only by the sequencer thread: request k of
+    // client c carries the script id k * num_clients + c; a client's
+    // next arrival is decided by the event machine (decision time +
+    // think).
+    const int64_t per_client = static_cast<int64_t>(total) / num_clients;
+    std::vector<int64_t> next_k(static_cast<size_t>(num_clients), 0);
+    using Event = std::pair<double, int>; ///< (arrival, client).
+    std::priority_queue<Event, std::vector<Event>, std::greater<Event>>
+        arrivals;
+
     return run(script.requests, num_clients, [&](Engine &machine,
                                                  DoneQueue &done) {
-        // Client state: request k of client c carries the script id
-        // k * num_clients + c; a client's next arrival is decided by
-        // the event machine (decision time + think).
-        const int64_t per_client =
-            static_cast<int64_t>(total) / num_clients;
-        std::vector<int64_t> next_k(static_cast<size_t>(num_clients), 0);
-        using Event = std::pair<double, int>; ///< (arrival, client).
-        std::priority_queue<Event, std::vector<Event>,
-                            std::greater<Event>>
-            arrivals;
         machine.decided = [&](int64_t id, double at) {
             const int c = static_cast<int>(id % num_clients);
             const int64_t k = id / num_clients;

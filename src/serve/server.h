@@ -21,16 +21,24 @@
  * Stage graph (arrows are BoundedQueues):
  *
  *   feeder ──ids──> sampler workers ──ego-nets──> sequencer
- *   (run() thread)   (per-thread sampler,          (in-order virtual-
- *                     per-request RNG stream)       time event machine)
+ *   (caller thread)  (per-thread sampler,          (arrival driver +
+ *                     per-request RNG stream)       virtual-time event
+ *                                                   machine)
  *
- * The sequencer replays requests in arrival order and runs the entire
- * virtual-time state machine — batchers, caches, admission — alone, the
- * same single-writer discipline that keeps the training pipeline's
- * Match/Reorder chain deterministic. Workers sample every request's
- * ego-net speculatively, before admission is decided: the per-request
- * RNG streams make that safe (a shed request's subgraph is simply
- * discarded) and it keeps the expensive host work off the sequencer.
+ * serve() and serve_closed() are two drivers of one harness (run()):
+ * the harness owns the stage graph, shutdown, error propagation and
+ * statistics, and the driver is the sequencer body. The open-loop
+ * driver replays requests in arrival order through a
+ * util::InOrderRing, the reassembly ring core::AsyncPipeline uses per
+ * GPU; the closed-loop driver runs the client event loop and parks
+ * ego-nets by request id until their client issues them. Either way
+ * the sequencer runs the entire virtual-time state machine — batchers,
+ * caches, admission — alone, the same single-writer discipline that
+ * keeps the training pipeline's Match/Reorder chain deterministic.
+ * Workers sample every request's ego-net speculatively, before
+ * admission is decided: the per-request RNG streams make that safe (a
+ * shed request's subgraph is simply discarded) and it keeps the
+ * expensive host work off the sequencer.
  *
  * One Server can host several model tiers (ServerOptions::models, e.g.
  * a cheap GCN tier next to an expensive GAT tier) behind one front

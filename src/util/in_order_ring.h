@@ -51,8 +51,8 @@ class InOrderRing
 
     /**
      * Park @p item under sequence number @p seq. Panics when @p seq was
-     * already released or is already parked; grows the ring when
-     * @p seq lies a full capacity or more past next().
+     * already released; grows the ring when @p seq lies a full
+     * capacity or more past next().
      */
     void
     put(size_t seq, T item)
@@ -60,9 +60,7 @@ class InOrderRing
         FASTGL_CHECK(seq >= next_, "sequence number regressed");
         if (seq - next_ >= slots_.size())
             grow(seq - next_ + 1);
-        std::optional<T> &slot = slots_[seq % slots_.size()];
-        FASTGL_CHECK(!slot, "sequence number delivered twice");
-        slot.emplace(std::move(item));
+        slots_[seq % slots_.size()].emplace(std::move(item));
     }
 
     /** True when the item with sequence number next() is parked. */

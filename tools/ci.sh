@@ -5,7 +5,9 @@
 # "fails" forever even though the tree is fine.
 #
 # Usage:
-#   tools/ci.sh                 # warnings-as-errors build + full ctest
+#   tools/ci.sh                 # warnings-as-errors build + full ctest,
+#                               # then the full ctest again under
+#                               # ASan+UBSan (Debug)
 #   FASTGL_TSAN=1 tools/ci.sh   # additionally run the concurrency
 #                               # suite under ThreadSanitizer
 #
@@ -42,6 +44,18 @@ if command -v doxygen > /dev/null 2>&1; then
 else
     echo "==> doxygen not installed; skipping strict docs check"
 fi
+
+# Memory and undefined-behaviour sanitizers over the whole suite, by
+# default. Debug keeps UB-prone code paths unoptimised; halt_on_error
+# turns a UBSan report into a failing test instead of a printed line.
+# Only the targets ctest runs are built: the test binary and the CLI.
+echo "==> ASan+UBSan configuration (full suite, Debug)"
+rm -rf build-asan
+cmake -B build-asan -S . -DFASTGL_SANITIZE=address,undefined \
+    -DCMAKE_BUILD_TYPE=Debug -DFASTGL_TEST_WERROR=ON
+cmake --build build-asan --target fastgl_tests fastgl_cli -j "$JOBS"
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 if [[ "${FASTGL_TSAN:-0}" == "1" ]]; then
     echo "==> ThreadSanitizer configuration (concurrency suite)"
