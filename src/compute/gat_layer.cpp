@@ -125,8 +125,8 @@ GatLayer::forward(const sample::LayerBlock &block, const Tensor &input)
 }
 
 Tensor
-GatLayer::backward(const sample::LayerBlock &block,
-                   const Tensor &grad_output)
+GatLayer::backward_impl(const sample::LayerBlock &block,
+                        const Tensor &grad_output, bool need_input_grad)
 {
     const int64_t edges = block.num_edges();
     const int64_t targets = block.num_targets();
@@ -247,6 +247,11 @@ GatLayer::backward(const sample::LayerBlock &block,
                  "backward without matching forward");
     engine_->gemm_ta(saved_input_, grad_z, grad_weight);
     weight_.grad.add_scaled(grad_weight, 1.0f);
+
+    // grad_z also fed grad_W and the attention gradients above, so only
+    // this last GEMM serves the input gradient alone.
+    if (!need_input_grad)
+        return Tensor();
 
     Tensor grad_input(input_rows_, in_dim_);
     engine_->gemm_tb(grad_z, weight_.value, grad_input);

@@ -32,8 +32,6 @@ class GatLayer : public GnnLayer
 
     Tensor forward(const sample::LayerBlock &block,
                    const Tensor &input) override;
-    Tensor backward(const sample::LayerBlock &block,
-                    const Tensor &grad_output) override;
     std::vector<Parameter *> parameters() override;
 
     int64_t in_dim() const override { return in_dim_; }
@@ -42,6 +40,11 @@ class GatLayer : public GnnLayer
 
     int num_heads() const { return num_heads_; }
     int64_t head_dim() const { return head_dim_; }
+
+  protected:
+    Tensor backward_impl(const sample::LayerBlock &block,
+                         const Tensor &grad_output,
+                         bool need_input_grad) override;
 
   private:
     static constexpr float kLeakySlope = 0.2f;

@@ -40,8 +40,8 @@ GcnLayer::forward(const sample::LayerBlock &block, const Tensor &input)
 }
 
 Tensor
-GcnLayer::backward(const sample::LayerBlock &block,
-                   const Tensor &grad_output)
+GcnLayer::backward_impl(const sample::LayerBlock &block,
+                        const Tensor &grad_output, bool need_input_grad)
 {
     // Fused ReLU mask + bias column sums, one pass over grad.
     Tensor grad = grad_output;
@@ -56,6 +56,9 @@ GcnLayer::backward(const sample::LayerBlock &block,
     Tensor grad_weight(in_dim_, out_dim_);
     engine_->gemm_ta(aggregated_, grad, grad_weight);
     weight_.grad.add_scaled(grad_weight, 1.0f);
+
+    if (!need_input_grad)
+        return Tensor();
 
     // Gradient w.r.t. the aggregated features, then Eq. 5 back through
     // the aggregation.

@@ -24,13 +24,16 @@ class GinLayer : public GnnLayer
 
     Tensor forward(const sample::LayerBlock &block,
                    const Tensor &input) override;
-    Tensor backward(const sample::LayerBlock &block,
-                    const Tensor &grad_output) override;
     std::vector<Parameter *> parameters() override;
 
     int64_t in_dim() const override { return in_dim_; }
     int64_t out_dim() const override { return out_dim_; }
     std::string name() const override { return "gin"; }
+
+  protected:
+    Tensor backward_impl(const sample::LayerBlock &block,
+                         const Tensor &grad_output,
+                         bool need_input_grad) override;
 
   private:
     int64_t in_dim_;

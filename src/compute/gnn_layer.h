@@ -42,12 +42,23 @@ class GnnLayer
                            const Tensor &input) = 0;
 
     /**
-     * Backward pass; must follow the matching forward.
-     * @param grad_output gradient w.r.t. the forward output
-     * @return gradient w.r.t. the forward input (same rows as input)
+     * Backward pass; must follow the matching forward. Accumulates every
+     * parameter gradient.
+     * @param block           the block the matching forward ran on
+     * @param grad_output     gradient w.r.t. the forward output
+     * @param need_input_grad false skips the kernels that only produce
+     *        the input gradient (a model's input-side layer, whose input
+     *        is the raw features); parameter gradients are bit-identical
+     *        either way
+     * @return gradient w.r.t. the forward input (same rows as input),
+     *         or an empty Tensor when @p need_input_grad is false
      */
-    virtual Tensor backward(const sample::LayerBlock &block,
-                            const Tensor &grad_output) = 0;
+    Tensor
+    backward(const sample::LayerBlock &block, const Tensor &grad_output,
+             bool need_input_grad = true)
+    {
+        return backward_impl(block, grad_output, need_input_grad);
+    }
 
     /** Trainable parameters (value + grad pairs). */
     virtual std::vector<Parameter *> parameters() = 0;
@@ -57,6 +68,11 @@ class GnnLayer
     virtual std::string name() const = 0;
 
   protected:
+    /** backward() without its default argument (see there). */
+    virtual Tensor backward_impl(const sample::LayerBlock &block,
+                                 const Tensor &grad_output,
+                                 bool need_input_grad) = 0;
+
     /** Kernel engine the forward/backward passes run on. */
     KernelEngine *engine_ = &KernelEngine::sequential();
 };

@@ -83,10 +83,12 @@ void
 GnnModel::backward(const sample::SampledSubgraph &sg,
                    const Tensor &grad_logits)
 {
+    // The input-side layer's input is the raw features, a leaf: its
+    // gradient is never read, so layer 0 skips computing it.
     Tensor grad = grad_logits;
     for (size_t l = layers_.size(); l-- > 0;) {
         const auto &block = sg.blocks[layers_.size() - 1 - l];
-        grad = layers_[l]->backward(block, grad);
+        grad = layers_[l]->backward(block, grad, l > 0);
     }
 }
 

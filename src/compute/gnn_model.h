@@ -48,7 +48,10 @@ class GnnModel
     Tensor forward(const sample::SampledSubgraph &sg,
                    const Tensor &input_features);
 
-    /** Backward from @p grad_logits; accumulates parameter grads. */
+    /**
+     * Backward from @p grad_logits; accumulates parameter grads. The
+     * input features are leaves: no gradient is computed for them.
+     */
     void backward(const sample::SampledSubgraph &sg,
                   const Tensor &grad_logits);
 

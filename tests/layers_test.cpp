@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include <functional>
 #include <memory>
@@ -143,6 +144,59 @@ TEST_P(LayerGradCheck, InputGradientsMatchFiniteDifferences)
 
     check_gradient(*layer, blk, input, projection, input, grad_input,
                    "input");
+}
+
+TEST_P(LayerGradCheck, SkippingInputGradientKeepsParameterGradsBitIdentical)
+{
+    struct Run
+    {
+        Tensor grad_input;
+        std::vector<Tensor> param_grads;
+        compute::KernelEngineStats stats;
+    };
+    // Each run gets its own engine: the shared sequential one records no
+    // stats.
+    auto run = [&](bool need_input_grad) {
+        compute::KernelEngine engine(1);
+        util::Rng rng(606);
+        auto layer = make_layer(rng);
+        layer->set_engine(&engine);
+        const auto blk = gradcheck_block();
+        const Tensor input = Tensor::randn(5, 4, rng, 0.8f);
+        const Tensor projection =
+            Tensor::randn(blk.num_targets(), layer->out_dim(), rng, 1.0f);
+        for (auto *p : layer->parameters())
+            p->zero_grad();
+        layer->forward(blk, input);
+        engine.reset_stats();
+        Run r;
+        r.grad_input = layer->backward(blk, projection, need_input_grad);
+        r.stats = engine.stats();
+        for (auto *p : layer->parameters())
+            r.param_grads.push_back(p->grad);
+        return r;
+    };
+    const Run full = run(true);
+    const Run skip = run(false);
+
+    EXPECT_EQ(full.grad_input.rows(), 5);
+    EXPECT_EQ(skip.grad_input.numel(), 0);
+    ASSERT_EQ(skip.param_grads.size(), full.param_grads.size());
+    for (size_t i = 0; i < full.param_grads.size(); ++i) {
+        const Tensor &a = full.param_grads[i];
+        const Tensor &b = skip.param_grads[i];
+        ASSERT_TRUE(a.same_shape(b)) << "parameter " << i;
+        EXPECT_EQ(std::memcmp(a.data(), b.data(),
+                              size_t(a.numel()) * sizeof(float)),
+                  0)
+            << "parameter " << i;
+    }
+    // GCN and GIN skip their last gemm_tb and aggregate_backward; GAT's
+    // grad_z still feeds its parameter gradients, so it skips the GEMM
+    // only.
+    EXPECT_EQ(full.stats.gemm_calls - skip.stats.gemm_calls, 1);
+    EXPECT_EQ(full.stats.agg_calls - skip.stats.agg_calls,
+              GetParam() == LayerKind::kGat ? 0 : 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllLayers, LayerGradCheck,

@@ -6,7 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
 
+#include "compute/gat_layer.h"
+#include "compute/gcn_layer.h"
+#include "compute/gin_layer.h"
 #include "compute/gnn_model.h"
 #include "compute/loss.h"
 #include "compute/optimizer.h"
@@ -157,6 +162,100 @@ TEST_P(ModelStack, OverfitsTinyProblem)
     }
     EXPECT_LT(last, 0.5 * first)
         << "no learning: first=" << first << " last=" << last;
+}
+
+TEST_P(ModelStack, BackwardMatchesFullInputGradientLoopBitwise)
+{
+    // GnnModel::backward skips the input-side layer's input gradient.
+    // Its parameter gradients must equal those of a per-layer loop that
+    // asks every layer for its full input gradient.
+    graph::CsrGraph g = graph::generate_ring(500, 4, 1);
+    sample::NeighborSamplerOptions sopts;
+    sopts.fanouts = {3, 4, 2};
+    sopts.seed = 2;
+    sample::NeighborSampler sampler(g, sopts);
+    std::vector<graph::NodeId> seeds = {1, 2, 3, 4, 5, 6, 7, 8};
+    const auto sg = sampler.sample(seeds);
+
+    compute::ModelConfig cfg;
+    cfg.type = GetParam();
+    cfg.in_dim = 12;
+    cfg.hidden_dim = 16;
+    cfg.num_classes = 5;
+    cfg.num_layers = 3;
+    cfg.gat_heads = 2;
+    cfg.gat_head_dim = 4;
+    compute::GnnModel model(cfg);
+
+    // The same layers, built in GnnModel's order from the same seed.
+    util::Rng init(cfg.seed);
+    const auto dims = model.layer_dims();
+    std::vector<std::unique_ptr<compute::GnnLayer>> layers;
+    for (int l = 0; l < cfg.num_layers; ++l) {
+        const bool hidden = l + 1 < cfg.num_layers;
+        const int64_t in = dims[size_t(l)].first;
+        const int64_t out = hidden ? cfg.hidden_dim : cfg.num_classes;
+        switch (cfg.type) {
+          case compute::ModelType::kGcn:
+            layers.push_back(
+                std::make_unique<compute::GcnLayer>(in, out, hidden, init));
+            break;
+          case compute::ModelType::kGin:
+            layers.push_back(
+                std::make_unique<compute::GinLayer>(in, out, hidden, init));
+            break;
+          case compute::ModelType::kGat:
+            layers.push_back(std::make_unique<compute::GatLayer>(
+                in, hidden ? cfg.gat_heads : 1,
+                hidden ? cfg.gat_head_dim : cfg.num_classes, hidden,
+                init));
+            break;
+        }
+    }
+    std::vector<compute::Parameter *> loop_params;
+    for (auto &layer : layers)
+        for (compute::Parameter *p : layer->parameters())
+            loop_params.push_back(p);
+    const auto model_params = model.parameters();
+    ASSERT_EQ(loop_params.size(), model_params.size());
+    auto same_bits = [](const Tensor &a, const Tensor &b) {
+        return a.same_shape(b) &&
+               std::memcmp(a.data(), b.data(),
+                           size_t(a.numel()) * sizeof(float)) == 0;
+    };
+    for (size_t i = 0; i < loop_params.size(); ++i)
+        ASSERT_TRUE(same_bits(model_params[i]->value,
+                              loop_params[i]->value))
+            << "initial parameter " << i;
+
+    util::Rng rng(3);
+    const Tensor x = Tensor::randn(sg.num_nodes(), cfg.in_dim, rng, 0.5f);
+    std::vector<int> labels;
+    for (int64_t i = 0; i < sg.num_seeds; ++i)
+        labels.push_back(int(i % cfg.num_classes));
+
+    const auto loss =
+        compute::softmax_cross_entropy(model.forward(sg, x), labels);
+    model.zero_grad();
+    model.backward(sg, loss.grad_logits);
+
+    const size_t n = layers.size();
+    Tensor h = x;
+    for (size_t l = 0; l < n; ++l)
+        h = layers[l]->forward(sg.blocks[n - 1 - l], h);
+    const auto loop_loss = compute::softmax_cross_entropy(h, labels);
+    ASSERT_TRUE(same_bits(loss.grad_logits, loop_loss.grad_logits));
+    for (compute::Parameter *p : loop_params)
+        p->zero_grad();
+    Tensor grad = loop_loss.grad_logits;
+    for (size_t l = n; l-- > 0;)
+        grad = layers[l]->backward(sg.blocks[n - 1 - l], grad);
+    EXPECT_EQ(grad.rows(), sg.num_nodes());
+
+    for (size_t i = 0; i < loop_params.size(); ++i)
+        EXPECT_TRUE(
+            same_bits(model_params[i]->grad, loop_params[i]->grad))
+            << "parameter " << i;
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ModelStack,
