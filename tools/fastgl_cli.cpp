@@ -68,6 +68,19 @@ class Args
         return it == values_.end() ? fallback : std::stoll(it->second);
     }
 
+    /** get_int, failing fast (naming the flag) below @p min. */
+    int64_t
+    get_int_at_least(const std::string &key, int64_t fallback,
+                     int64_t min) const
+    {
+        const int64_t value = get_int(key, fallback);
+        if (value < min)
+            util::fatal("--" + key + " must be >= " +
+                        std::to_string(min) + " (got " +
+                        std::to_string(value) + ")");
+        return value;
+    }
+
   private:
     std::map<std::string, std::string> values_;
 };
@@ -275,7 +288,8 @@ usage_train()
         "  --batch N            batch size; 0 = dataset default (0)\n"
         "  --max-batches N      cap batches per epoch; 0 = all (10)\n"
         "  --lr-milli N         learning rate in thousandths (3)\n"
-        "  --compute-threads N  kernel-engine width; results are\n"
+        "  --compute-threads N  kernel-engine width; 0 = every\n"
+        "                       hardware thread; results are\n"
         "                       bit-identical at any width (preset)\n"
         "  --gpus N             modelled devices for partition-sharded\n"
         "                       cache accounting; 1 = off (1)\n"
@@ -438,25 +452,30 @@ run_model(const Args &args)
 int
 run_train(const Args &args)
 {
+    // Reject arguments the trainer would otherwise coerce or die on,
+    // before the replica load. 0 keeps its documented meaning for
+    // --batch, --max-batches and --compute-threads.
+    core::TrainerOptions opts;
+    const int64_t scale_pct = args.get_int_at_least("scale-pct", 50, 1);
+    opts.batch_size = args.get_int_at_least("batch", 0, 0);
+    opts.max_batches = args.get_int_at_least("max-batches", 10, 0);
+    // The FastGL preset's host-kernel width (bit-identical results at
+    // any value); override with --compute-threads.
+    opts.compute_threads = int(args.get_int_at_least(
+        "compute-threads",
+        core::framework_preset(core::Framework::kFastGL).compute_threads,
+        0));
+    opts.num_gpus = int(args.get_int_at_least("gpus", 1, 1));
+
     graph::ReplicaOptions ropts;
-    ropts.size_factor = double(args.get_int("scale-pct", 50)) / 100.0;
+    ropts.size_factor = double(scale_pct) / 100.0;
     const graph::Dataset ds = graph::load_replica(
         parse_dataset(args.get("dataset", "products")), ropts);
 
-    core::TrainerOptions opts;
     opts.model.type = parse_model(args.get("model", "gcn"));
-    opts.batch_size = args.get_int("batch", 0);
-    opts.max_batches = args.get_int("max-batches", 10);
     opts.learning_rate =
         float(args.get_int("lr-milli", 3)) / 1000.0f;
-    // The FastGL preset's host-kernel width (bit-identical results at
-    // any value); override with --compute-threads.
-    opts.compute_threads = int(args.get_int(
-        "compute-threads",
-        core::framework_preset(core::Framework::kFastGL)
-            .compute_threads));
     opts.seed = uint64_t(args.get_int("seed", 3407));
-    opts.num_gpus = int(args.get_int("gpus", 1));
     opts.partitioner = parse_partitioner(args.get("partitioner", "ldg"));
     // The shards need a cache budget: default one in when --gpus asks
     // for the accounting pass but no --cache-pct was given.
@@ -537,8 +556,7 @@ run_train(const Args &args)
                         "with: serve --warmup %s --scale-pct %lld\n",
                         warmup.frequencies.size(), warmup_path.c_str(),
                         warmup_path.c_str(),
-                        static_cast<long long>(
-                            args.get_int("scale-pct", 50)));
+                        static_cast<long long>(scale_pct));
         else
             return 1;
     }
@@ -550,14 +568,8 @@ run_serve(const Args &args)
 {
     // Reject workload arguments the server would otherwise coerce or
     // die on, before the replica load.
-    const int64_t rate = args.get_int("rate", 20000);
-    if (rate <= 0)
-        util::fatal("--rate must be > 0 requests/s (got " +
-                    std::to_string(rate) + ")");
-    const int64_t batch_max = args.get_int("batch-max", 32);
-    if (batch_max < 1)
-        util::fatal("--batch-max must be >= 1 (got " +
-                    std::to_string(batch_max) + ")");
+    const int64_t rate = args.get_int_at_least("rate", 20000, 1);
+    const int64_t batch_max = args.get_int_at_least("batch-max", 32, 1);
     const int64_t requests = args.get_int("requests", 2048);
     const int64_t clients = args.get_int("clients", 0);
     if (clients > 0 && requests < clients)
