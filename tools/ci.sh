@@ -14,7 +14,7 @@
 # Environment:
 #   FASTGL_CI_JOBS   parallel build/test jobs (default: nproc)
 #   FASTGL_TSAN      when 1, add a -fsanitize=thread configuration
-#   FASTGL_NO_PERF   when 1, skip the hot-path perf smoke step
+#   FASTGL_NO_PERF   when 1, skip the bench and perfbench smoke steps
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -201,6 +201,16 @@ if [[ "${FASTGL_NO_PERF:-0}" != "1" ]]; then
     ./build-perf-ci/bench/bench_ext_traffic --smoke \
         | tee BENCH_traffic.json
     bench_gate BENCH_traffic.json '"ok": true'
+
+    # Host-clock benchmark: the report self-test, then a short traced
+    # train run. The run exits non-zero unless its witnesses hold: the
+    # traced replay, whose layers all compute their full input
+    # gradient, must reproduce train_epoch's losses bit for bit.
+    # Timings are printed, not gated.
+    echo "==> host-clock benchmark smoke (perfbench)"
+    python3 perfbench/test_report.py
+    python3 perfbench/run.py --workload train --seed 1 --seconds 5 \
+        --trace 1
 fi
 
 echo "==> CI OK"
