@@ -1,7 +1,10 @@
 #include "graph/serialize.h"
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 
 #include "util/logging.h"
@@ -59,8 +62,12 @@ read_vector(std::FILE *file, std::vector<T> &data)
     uint64_t count = 0;
     if (!read_pod(file, count))
         return false;
-    // Defensive cap: refuse absurd sizes rather than bad_alloc.
-    if (count > (1ull << 34))
+    // A count the rest of the file cannot hold is corrupt: refuse it
+    // before the resize, not after a bad_alloc.
+    struct stat st;
+    const long here = std::ftell(file);
+    if (here < 0 || fstat(fileno(file), &st) != 0 ||
+        count > uint64_t(st.st_size - here) / sizeof(T))
         return false;
     data.resize(static_cast<size_t>(count));
     if (count == 0)
@@ -182,8 +189,10 @@ load_dataset(Dataset &dataset, const std::string &path,
         !read_pod(file.get(), out.batch_size) ||
         !read_pod(file.get(), out.scale))
         return false;
-    if (dim <= 0 || classes <= 0 || feature_nodes < 0 ||
-        out.batch_size <= 0)
+    // dim and classes are stored as int64 but used as int.
+    constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+    if (dim <= 0 || dim > kIntMax || classes <= 0 || classes > kIntMax ||
+        feature_nodes < 0 || out.batch_size <= 0)
         return false;
 
     if (!read_vector(file.get(), out.train_nodes) ||

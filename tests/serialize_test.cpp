@@ -4,6 +4,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 
 #include "graph/datasets.h"
@@ -130,6 +131,54 @@ TEST(Serialize, DatasetLoadRejectsGraphMagic)
     ASSERT_TRUE(graph::save_graph(g, path));
     graph::Dataset ds;
     EXPECT_FALSE(graph::load_dataset(ds, path));
+    std::remove(path.c_str());
+}
+
+/** Overwrite the eight bytes at @p offset of file @p path. */
+void
+patch_u64(const std::string &path, long offset, uint64_t value)
+{
+    FILE *f = fopen(path.c_str(), "rb+");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(fseek(f, offset, SEEK_SET), 0);
+    ASSERT_EQ(fwrite(&value, sizeof(value), 1, f), 1u);
+    fclose(f);
+}
+
+TEST(Serialize, DatasetLoadRejectsDimAndClassesWiderThanInt)
+{
+    graph::ReplicaOptions ropts;
+    ropts.size_factor = 0.02;
+    ropts.materialize_features = false;
+    const graph::Dataset original =
+        graph::load_replica(graph::DatasetId::kReddit, ropts);
+    // Header: magic, id, name length, name, then dim and classes.
+    const long dim_at = long(3 * sizeof(uint64_t) + original.name.size());
+    for (const long field : {dim_at, dim_at + 8}) {
+        const std::string path = temp_path("wide_header");
+        ASSERT_TRUE(graph::save_dataset(original, path));
+        // 2^32 + 602 would narrow to 602 and load.
+        patch_u64(path, field, (uint64_t(1) << 32) + 602);
+        graph::Dataset loaded;
+        EXPECT_FALSE(graph::load_dataset(loaded, path, false))
+            << "field at byte " << field;
+        std::remove(path.c_str());
+    }
+}
+
+TEST(Serialize, LoadRejectsVectorCountBeyondFileSize)
+{
+    graph::CsrGraph g({0, 1, 2}, {1, 0});
+    const std::string path = temp_path("oversized");
+    ASSERT_TRUE(graph::save_graph(g, path));
+    // The indptr count follows the magic. 2^33 int64 entries (64 GiB)
+    // is far past the file's end: rejected before any allocation.
+    patch_u64(path, 8, uint64_t(1) << 33);
+    graph::CsrGraph loaded;
+    EXPECT_FALSE(graph::load_graph(loaded, path));
+    // One entry more than the rest of the file holds fails too.
+    patch_u64(path, 8, 3 + 1 + 2 + 1);
+    EXPECT_FALSE(graph::load_graph(loaded, path));
     std::remove(path.c_str());
 }
 
