@@ -122,9 +122,8 @@ main(int argc, char **argv)
         row.demand_blocks = stats.store.demand_blocks;
         row.demand_fetched = stats.store.demand_fetched;
         row.prefetch_hits = stats.store.prefetch_hits;
-        row.host_rows =
-            trainer.tiered_store() ? trainer.tiered_store()->host_rows()
-                                   : ds.graph.num_nodes();
+        const store::TieredFeatureStore *ts = trainer.residency().store();
+        row.host_rows = ts ? ts->host_rows() : ds.graph.num_nodes();
         return row;
     };
 

@@ -47,6 +47,7 @@ Trainer::Trainer(const graph::Dataset &dataset, TrainerOptions opts)
         std::make_unique<match::GatherEngine>(opts_.gather_threads);
 
     std::vector<graph::NodeId> hot_ranking;
+    store::ResidencyOptions residency;
     if (opts_.feature_cache_ratio > 0.0) {
         // Presample with dedicated sampler/splitter instances on
         // derived seeds so the training RNG streams stay untouched —
@@ -60,9 +61,6 @@ Trainer::Trainer(const graph::Dataset &dataset, TrainerOptions opts)
         sample::NeighborSamplerOptions popts = nopts;
         popts.seed = opts_.seed + 17;
         sample::NeighborSampler presampler(dataset.graph, popts);
-        // One-pass count-while-dedup instead of the dense
-        // count-then-sort two-pass; the sparse ranking overload is
-        // bit-identical to the legacy pipeline.
         sample::FrequencyHashmap freq(static_cast<size_t>(
             splitter_.batch_size() * kPresampleBatches));
         const int64_t pre_batches =
@@ -71,46 +69,29 @@ Trainer::Trainer(const graph::Dataset &dataset, TrainerOptions opts)
             freq.add_stream(presampler.sample(presplit.batch(b)).nodes);
         hot_ranking = match::presample_ranking(
             freq.uniques(), freq.counts(), dataset.graph.num_nodes());
-        const auto &ranking = hot_ranking;
-        const auto capacity = static_cast<int64_t>(
+        residency.cache_rows = static_cast<int64_t>(
             double(dataset.graph.num_nodes()) * opts_.feature_cache_ratio);
-        feature_cache_ = std::make_unique<match::StaticFeatureCache>(
-            dataset.graph.num_nodes(), ranking, capacity);
 
-        // Multi-GPU accounting: the same aggregate row budget split
-        // into per-device shards along a graph partitioning. Every
-        // training batch is additionally classified from its seed
-        // partition's owner device; none of it feeds back into the
-        // gathered bits or the training trajectory.
+        // Multi-GPU accounting exists only with a cache budget: the
+        // same aggregate row budget split into per-device shards.
         if (opts_.num_gpus > 1) {
-            partitioning_ = graph::partition_graph(
-                dataset_.graph, opts_.num_gpus, opts_.partitioner);
-            sharded_features_ =
-                std::make_unique<match::PartitionedFeatureCache>(
-                    partitioning_, ranking,
-                    std::max<int64_t>(1, capacity / opts_.num_gpus),
-                    opts_.num_gpus, opts_.shard_mode,
-                    opts_.remote_policy);
-            sim::PeerTopologyOptions peer;
-            peer.num_devices = opts_.num_gpus;
-            topo_ = std::make_unique<sim::PeerTopology>(sim::rtx3090(),
-                                                        peer);
+            residency.num_devices = opts_.num_gpus;
+            residency.shard_rows = std::max<int64_t>(
+                1, residency.cache_rows / opts_.num_gpus);
         }
     }
-
-    // Out-of-core tier: host-DRAM residency follows the same hotness
-    // ranking as the feature cache (degree order when no presample ran)
-    // and the storage layout reuses the cache-sharding partitioning
-    // when one exists. Accounting only — nothing here feeds back into
-    // sampling, gathering, or the training trajectory.
-    if (opts_.storage.storage != store::StorageKind::kNone) {
-        if (hot_ranking.empty())
-            hot_ranking = match::degree_ranking(dataset_.graph);
-        tiered_store_ = std::make_unique<store::TieredFeatureStore>(
-            dataset_.features, dataset_.graph, hot_ranking,
-            partitioning_.empty() ? nullptr : &partitioning_,
-            feature_cache_.get(), opts_.storage);
-    }
+    residency.partitioner = opts_.partitioner;
+    residency.shard_mode = opts_.shard_mode;
+    residency.remote_policy = opts_.remote_policy;
+    residency.storage = opts_.storage;
+    // Host-DRAM residency follows the cache's hotness ranking, or
+    // degree order when no presample ran.
+    if (hot_ranking.empty() &&
+        opts_.storage.storage != store::StorageKind::kNone)
+        hot_ranking = match::degree_ranking(dataset_.graph);
+    residency_ = std::make_unique<store::FeatureResidency>(
+        dataset_.features, dataset_.graph, hot_ranking, sim::rtx3090(),
+        residency);
 }
 
 compute::Tensor
@@ -124,10 +105,10 @@ Trainer::gather_features(const sample::SampledSubgraph &sg)
     // same (cache- and TLB-warm) arena straight back — the steady
     // state is one hot buffer, not two alternating cold ones.
     panel_.release();
-    if (feature_cache_) {
+    if (const match::StaticFeatureCache *cache =
+            residency_->static_cache()) {
         panel_ = gather_engine_
-                     ->gather_cached(dataset_.features, sg.nodes,
-                                     *feature_cache_)
+                     ->gather_cached(dataset_.features, sg.nodes, *cache)
                      .panel;
     } else {
         panel_ = gather_engine_->gather(dataset_.features, sg.nodes);
@@ -157,13 +138,7 @@ Trainer::train_epoch()
     TrainEpochStats stats;
     engine_->reset_stats();
     gather_engine_->reset_stats();
-    if (sharded_features_) {
-        sharded_features_->reset_stats();
-        sharded_features_->reset_overlay();
-        topo_->reset();
-    }
-    if (tiered_store_)
-        tiered_store_->begin_run();
+    residency_->begin_run();
     if (opts_.record_node_frequencies)
         stats.node_frequencies.assign(
             static_cast<size_t>(dataset_.graph.num_nodes()), 0);
@@ -176,8 +151,7 @@ Trainer::train_epoch()
     // pipeline's genuine inter-stage stalls. Observation only — the
     // profiler never feeds anything back into the epoch loop.
     prof::Profiler profiler(opts_.profile);
-    const sim::GpuSpec prof_spec = sim::rtx3090();
-    const sim::KernelModel prof_kernels(prof_spec);
+    const sim::KernelModel prof_kernels(sim::rtx3090());
     double prof_sampler_free = 0.0;
     double prof_gather_free = 0.0;
     double prof_compute_free = 0.0;
@@ -188,7 +162,7 @@ Trainer::train_epoch()
     // so their node sets can prefetch storage blocks early.
     std::deque<sample::SampledSubgraph> lookahead;
     int64_t next_to_sample = 0;
-    const int64_t depth = (tiered_store_ && tiered_store_->active())
+    const int64_t depth = residency_->storage_active()
                               ? std::max(0, opts_.storage.prefetch_depth)
                               : 0;
     for (int64_t b = 0; b < num_batches; ++b) {
@@ -198,7 +172,7 @@ Trainer::train_epoch()
                 sampler_->sample(splitter_.batch(next_to_sample)));
             if (next_to_sample > b)
                 stats.storage_hidden_seconds +=
-                    tiered_store_->stage_future_batch(
+                    residency_->stage_future_batch(
                         next_to_sample, lookahead.back().nodes);
             ++next_to_sample;
         }
@@ -211,78 +185,19 @@ Trainer::train_epoch()
         const double batch_compute_s =
             cost_model_.training_step(opts_.model, sg).total();
         stats.modelled_compute_seconds += batch_compute_s;
-        const double stall_before = stats.storage_stall_seconds;
-        if (sharded_features_ && !sg.nodes.empty()) {
-            // Batch affinity: the device owning the first seed's
-            // partition runs the batch; rows on peer shards charge
-            // the modelled interconnect.
-            const int dev =
-                partitioning_.part_of[static_cast<size_t>(
-                    sg.nodes[0])] %
-                opts_.num_gpus;
-            const match::ShardLookup sl =
-                sharded_features_->lookup_batch(dev, sg.nodes);
-            const uint64_t row_bytes = dataset_.features.row_bytes();
-            for (int src = 0; src < opts_.num_gpus; ++src) {
-                const int64_t rows = sl.remote_rows_by_device
-                                         [static_cast<size_t>(src)];
-                if (rows > 0)
-                    topo_->transfer(src, dev,
-                                    static_cast<uint64_t>(rows) *
-                                        row_bytes);
-            }
-            if (tiered_store_ && tiered_store_->active()) {
-                // Misses that also miss host DRAM pay a storage read;
-                // rows owned by a peer device additionally re-cross
-                // the interconnect to reach the device running the
-                // batch (one transfer per source device).
-                stats.storage_stall_seconds +=
-                    tiered_store_->charge_miss_rows(sl.miss_nodes);
-                std::vector<int64_t> storage_rows(
-                    static_cast<size_t>(opts_.num_gpus), 0);
-                for (graph::NodeId u : sl.miss_nodes) {
-                    if (tiered_store_->host_resident(u))
-                        continue;
-                    const int owner =
-                        sharded_features_->owner_device(u);
-                    if (owner != dev)
-                        ++storage_rows[static_cast<size_t>(owner)];
-                }
-                for (int src = 0; src < opts_.num_gpus; ++src) {
-                    const int64_t rows =
-                        storage_rows[static_cast<size_t>(src)];
-                    if (rows > 0)
-                        topo_->transfer(src, dev,
-                                        static_cast<uint64_t>(rows) *
-                                            row_bytes);
-                }
-            }
-        }
-        if (tiered_store_ && tiered_store_->active()) {
-            // Demand charge for the batch being gathered now (the
-            // sharded path charged its own miss rows above), then
-            // retire it from the prefetch window.
-            if (!sharded_features_)
-                stats.storage_stall_seconds +=
-                    tiered_store_->charge_batch(sg.nodes);
-            tiered_store_->complete_batch(b);
-        }
+        // Batch affinity: the device owning the first seed's
+        // partition runs the batch. Accounting only — the charge never
+        // feeds back into sampling, gathering or the trajectory.
+        const store::ResidencyCharge charge =
+            residency_->charge(residency_->home_device(sg.nodes), sg.nodes);
+        stats.storage_stall_seconds += charge.storage_seconds;
+        residency_->complete_batch(b);
         if (opts_.profile) {
             const int64_t rows =
                 static_cast<int64_t>(sg.nodes.size());
-            const uint64_t row_bytes = dataset_.features.row_bytes();
-            const uint64_t bytes =
-                static_cast<uint64_t>(rows) * row_bytes;
             const double sample_s =
                 prof_kernels.sample_gpu(sg.edges_examined);
-            const double stall_s =
-                stats.storage_stall_seconds - stall_before;
-            const double gather_s =
-                prof_spec.pcie_latency +
-                static_cast<double>(bytes) / prof_spec.pcie_bw +
-                static_cast<double>(bytes) /
-                    prof_spec.host_gather_bw +
-                stall_s;
+            const double gather_s = residency_->io_seconds(charge);
             const double sample_end = prof_sampler_free + sample_s;
             prof_sampler_free = sample_end;
             const double gather_start =
@@ -301,9 +216,9 @@ Trainer::train_epoch()
             profiler.record(prof::Stage::kCompute,
                             compute_start - gather_end,
                             batch_compute_s, sg.num_seeds);
-            if (tiered_store_ && tiered_store_->active())
-                profiler.record(prof::Stage::kStorage, 0.0, stall_s,
-                                1);
+            if (residency_->storage_active())
+                profiler.record(prof::Stage::kStorage, 0.0,
+                                charge.storage_seconds, 1);
             profiler.record_device(
                 0, compute_start - device_free_before,
                 batch_compute_s, prof_compute_free);
@@ -339,13 +254,12 @@ Trainer::train_epoch()
     stats.measured_compute.agg_edges = ks.agg_edges;
     stats.gather = gather_engine_->stats();
     stats.num_gpus = std::max(1, opts_.num_gpus);
-    if (sharded_features_) {
-        stats.shard_totals = sharded_features_->totals();
-        stats.per_partition = sharded_features_->per_partition();
-        stats.peer_links = topo_->active_links();
-    }
-    if (tiered_store_)
-        stats.store = tiered_store_->stats();
+    store::ResidencyStats residency = residency_->stats();
+    if (residency_->sharded_cache())
+        stats.shard_totals = residency.features;
+    stats.per_partition = std::move(residency.per_partition);
+    stats.peer_links = std::move(residency.peer_links);
+    stats.store = residency.store;
     stats.modelled_epoch_seconds =
         stats.modelled_compute_seconds + stats.storage_stall_seconds;
     profiler.set_makespan(prof_compute_free);

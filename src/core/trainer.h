@@ -18,15 +18,11 @@
 #include "compute/optimizer.h"
 #include "core/phase_stats.h"
 #include "graph/datasets.h"
-#include "graph/partition.h"
-#include "match/feature_cache.h"
 #include "match/gather_engine.h"
-#include "match/partitioned_cache.h"
 #include "prof/profiler.h"
-#include "sim/peer_link.h"
-#include "store/tiered_store.h"
 #include "sample/batch_splitter.h"
 #include "sample/neighbor_sampler.h"
+#include "store/residency.h"
 #include "util/rng.h"
 
 namespace fastgl {
@@ -53,12 +49,12 @@ struct TrainerOptions
      *  width (match::GatherEngine contract). */
     int gather_threads = 1;
     /**
-     * When > 0, presample a few batches up front, build a
-     * match::StaticFeatureCache over this fraction of the graph's
-     * nodes (GNNLab presample policy), and account hit/miss rates
-     * through the fused gather pass. Pure accounting: gathered bits,
-     * losses and parameters are unaffected. The presample uses its own
-     * sampler/splitter instances, so training RNG streams do not move.
+     * When > 0, a match::StaticFeatureCache over this fraction of the
+     * nodes, ranked by a presample on its own sampler/splitter (GNNLab
+     * policy, training RNG streams untouched). Like num_gpus and
+     * storage it configures the trainer's store::FeatureResidency:
+     * accounting only, so gathered bits, losses and parameters are
+     * unaffected.
      */
     double feature_cache_ratio = 0.0;
     /**
@@ -69,14 +65,11 @@ struct TrainerOptions
      */
     bool record_node_frequencies = false;
     /**
-     * Modelled device count for multi-GPU cache accounting. 1 (the
-     * default) is the legacy single-device trainer; with N > 1 (and
-     * feature_cache_ratio > 0) the graph is partitioned into N parts,
-     * a match::PartitionedFeatureCache splits the same aggregate row
-     * budget into per-device shards, and every batch is additionally
-     * classified from its seed partition's owner device — filling
-     * TrainEpochStats::per_partition / peer_links. Pure accounting:
-     * gathered bits, losses and parameters are unaffected.
+     * Modelled devices. With N > 1 and feature_cache_ratio > 0 a
+     * match::PartitionedFeatureCache splits the cache's row budget into
+     * N shards along a graph partitioning, and each batch is charged
+     * on its first seed's home device (TrainEpochStats::per_partition,
+     * peer_links).
      */
     int num_gpus = 1;
     /** Partitioner behind the num_gpus > 1 accounting pass. */
@@ -88,12 +81,9 @@ struct TrainerOptions
         match::RemotePolicy::kFetchAndCache;
     /**
      * Out-of-core tier (store::TieredFeatureStore): rows beyond the
-     * host-DRAM budget live on a modelled NVMe/SSD drive, and the
-     * epoch loop samples `storage.prefetch_depth` batches ahead so
-     * future batches' blocks prefetch while earlier batches compute.
-     * Pure accounting, like the caches: the sampling order — and with
-     * it every RNG stream, gathered panel, loss, and parameter — is
-     * bit-identical with storage on or off.
+     * host-DRAM budget live on a modelled drive, and the epoch loop
+     * samples `storage.prefetch_depth` batches ahead (in order, RNG
+     * streams untouched) so their blocks prefetch during compute.
      */
     store::TieredStoreOptions storage;
     /**
@@ -187,29 +177,11 @@ class Trainer
         return *gather_engine_;
     }
 
-    /** Feature cache built by feature_cache_ratio (null when off). */
-    const match::StaticFeatureCache *feature_cache() const
+    /** Feature cache, shards, partitioning, peer links and storage
+     *  tier built from feature_cache_ratio, num_gpus and storage. */
+    const store::FeatureResidency &residency() const
     {
-        return feature_cache_.get();
-    }
-
-    /** Sharded accounting cache (null unless num_gpus > 1 and
-     *  feature_cache_ratio > 0). */
-    const match::PartitionedFeatureCache *sharded_feature_cache() const
-    {
-        return sharded_features_.get();
-    }
-
-    /** Cache-sharding partitioning; empty when num_gpus == 1. */
-    const graph::Partitioning &partitioning() const
-    {
-        return partitioning_;
-    }
-
-    /** Out-of-core tier (null when TrainerOptions::storage is none). */
-    const store::TieredFeatureStore *tiered_store() const
-    {
-        return tiered_store_.get();
+        return *residency_;
     }
 
   private:
@@ -233,13 +205,9 @@ class Trainer
     /** Panel behind the current batch's input view; replaced (and its
      *  arena recycled) by the next gather_features call. */
     match::FeaturePanel panel_;
-    std::unique_ptr<match::StaticFeatureCache> feature_cache_;
-    /** The next three exist only when num_gpus > 1 (accounting). */
-    graph::Partitioning partitioning_;
-    std::unique_ptr<match::PartitionedFeatureCache> sharded_features_;
-    std::unique_ptr<sim::PeerTopology> topo_;
-    /** Out-of-core tier; null when storage is kNone. */
-    std::unique_ptr<store::TieredFeatureStore> tiered_store_;
+    /** Feature cache, shards, peer links and storage tier; built by
+     *  the constructor, charged once per training batch. */
+    std::unique_ptr<store::FeatureResidency> residency_;
     compute::ComputeCostModel cost_model_;
     std::unique_ptr<compute::GnnModel> model_;
     std::unique_ptr<compute::Optimizer> optimizer_;

@@ -79,13 +79,8 @@ struct ShardLookup
      * for charging the (d -> looking device) peer link.
      */
     std::vector<int64_t> remote_rows_by_device;
-    /**
-     * The nodes behind `misses`, batch order — rows resident on no
-     * shard. The out-of-core tier (store::TieredFeatureStore) takes
-     * these to decide which misses also miss host DRAM and must pay a
-     * storage read (plus the peer link when the row's owner device is
-     * not the looking device).
-     */
+    /** The nodes behind `misses`, batch order: resident on no shard,
+     *  so store::FeatureResidency checks them against host DRAM. */
     std::vector<graph::NodeId> miss_nodes;
 };
 
@@ -153,13 +148,6 @@ class PartitionedFeatureCache
     ShardLookup lookup_batch(int device,
                              std::span<const graph::NodeId> nodes);
 
-    /** Cumulative counters of partition @p p. */
-    const PartitionCacheCounters &
-    partition_stats(int p) const
-    {
-        return part_counters_[static_cast<size_t>(p)];
-    }
-
     /** All per-partition counters, partition order. */
     const std::vector<PartitionCacheCounters> &
     per_partition() const
@@ -169,13 +157,6 @@ class PartitionedFeatureCache
 
     /** Summed counters across every partition. */
     PartitionCacheCounters totals() const;
-
-    /** Hit fraction (local + remote) over all lookups so far. */
-    double
-    aggregate_hit_rate() const
-    {
-        return totals().hit_rate();
-    }
 
     void reset_stats();
 

@@ -6,6 +6,7 @@
 #include <exception>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <queue>
 #include <thread>
 #include <utility>
@@ -51,7 +52,8 @@ struct Server::BatchCost
 {
     double service = 0.0;  ///< Modelled seconds the device is busy.
     int64_t uniques = 0;   ///< Distinct nodes after batch dedup.
-    int64_t misses = 0;    ///< Feature rows that crossed PCIe.
+    /** Where the unique rows were found; misses() crossed PCIe. */
+    store::ResidencyCharge residency;
     // --- Component decomposition of `service` (profiler feed). The
     // --- sum sample_s + id_map_s + io_s + compute_s reproduces
     // --- `service` bit-exactly (same addition order).
@@ -59,7 +61,6 @@ struct Server::BatchCost
     double id_map_s = 0.0; ///< Fused-Map batch dedup term.
     double io_s = 0.0;     ///< PCIe + gather + peer + storage term.
     double compute_s = 0.0;///< Dedup-credited forward term.
-    double storage_s = 0.0;///< Out-of-core stall inside io_s.
 };
 
 Server::Server(const graph::Dataset &dataset, ServerOptions opts,
@@ -155,46 +156,27 @@ Server::Server(const graph::Dataset &dataset, ServerOptions opts,
             match::presample_ranking(freq.uniques(), freq.counts(), n);
     }
 
-    if (opts_.feature_cache_ratio > 0.0) {
+    if (opts_.feature_cache_ratio > 0.0)
         feature_rows_ = std::clamp<int64_t>(
             static_cast<int64_t>(opts_.feature_cache_ratio *
                                  static_cast<double>(n)),
             0, n);
-        if (feature_rows_ > 0)
-            feature_cache_.emplace(dataset_.graph.num_nodes(), ranking_,
-                                   feature_rows_);
-    }
 
-    // Multi-GPU serving: partition the graph, shard the feature cache
-    // along it, and model the device interconnect. Every device gets
-    // the resolved single-device row budget, so sharded vs replicated
-    // compare at identical per-device memory and sharding's win is
-    // pure coverage (the union of the shards holds ~N x the rows).
+    // Every device's shard gets the full single-device row budget, so
+    // sharded vs replicated compare at identical per-device memory and
+    // sharding's win is pure coverage (the shards hold ~N x the rows).
     num_gpus_ = std::max(1, opts_.num_gpus);
-    if (num_gpus_ > 1) {
-        partitioning_ = graph::partition_graph(
-            dataset_.graph, num_gpus_, opts_.partitioner);
-        if (feature_rows_ > 0)
-            sharded_features_.emplace(partitioning_, ranking_,
-                                      feature_rows_, num_gpus_,
-                                      opts_.shard_mode,
-                                      opts_.remote_policy);
-        sim::PeerTopologyOptions peer = opts_.peer;
-        peer.num_devices = num_gpus_;
-        topo_ = std::make_unique<sim::PeerTopology>(spec_, peer);
-    }
-
-    // Out-of-core tier: host-DRAM residency follows the serving
-    // hotness ranking; the storage layout reuses the multi-GPU
-    // partitioning when one exists. The feature cache sits above it,
-    // so device-resident rows never reach the drive model.
-    if (opts_.storage.storage != store::StorageKind::kNone) {
-        tiered_store_ = std::make_unique<store::TieredFeatureStore>(
-            dataset_.features, dataset_.graph, ranking_,
-            partitioning_.empty() ? nullptr : &partitioning_,
-            feature_cache_ ? &*feature_cache_ : nullptr,
-            opts_.storage);
-    }
+    store::ResidencyOptions residency;
+    residency.cache_rows = feature_rows_;
+    residency.num_devices = num_gpus_;
+    residency.shard_rows = feature_rows_;
+    residency.partitioner = opts_.partitioner;
+    residency.shard_mode = opts_.shard_mode;
+    residency.remote_policy = opts_.remote_policy;
+    residency.peer = opts_.peer;
+    residency.storage = opts_.storage;
+    residency_ = std::make_unique<store::FeatureResidency>(
+        dataset_.features, dataset_.graph, ranking_, spec_, residency);
 
     table_.set_touched_tracking(true);
 
@@ -211,15 +193,6 @@ Server::Server(const graph::Dataset &dataset, ServerOptions opts,
             tier.model->set_engine(engine_.get());
         }
     }
-}
-
-int
-Server::home_device(graph::NodeId node) const
-{
-    if (num_gpus_ <= 1)
-        return 0;
-    return partitioning_.part_of[static_cast<size_t>(node)] %
-           num_gpus_;
 }
 
 Server::BatchCost
@@ -265,62 +238,7 @@ Server::cost_batch(size_t tier, int device,
 
     const std::vector<graph::NodeId> unique_nodes =
         table_.local_to_global();
-    const uint64_t row_bytes = dataset_.features.row_bytes();
-    double peer_s = 0.0;
-    double storage_s = 0.0;
-    if (sharded_features_) {
-        const match::ShardLookup sl =
-            sharded_features_->lookup_batch(device, unique_nodes);
-        cost.misses = sl.misses;
-        // Rows resident on a peer device's shard cross the modelled
-        // interconnect instead of the host PCIe link.
-        for (int src = 0; src < num_gpus_; ++src) {
-            const int64_t rows =
-                sl.remote_rows_by_device[static_cast<size_t>(src)];
-            if (rows > 0)
-                peer_s += topo_->transfer(
-                    src, device,
-                    static_cast<uint64_t>(rows) * row_bytes);
-        }
-        if (tiered_store_ && tiered_store_->active()) {
-            // Shard misses that also miss host DRAM pay a storage
-            // read, plus the interconnect when the row's owner is a
-            // peer device (the read lands on the owner's partition).
-            storage_s +=
-                tiered_store_->charge_miss_rows(sl.miss_nodes);
-            std::vector<int64_t> rows_by_owner(
-                static_cast<size_t>(num_gpus_), 0);
-            for (graph::NodeId u : sl.miss_nodes) {
-                if (tiered_store_->host_resident(u))
-                    continue;
-                const int owner = sharded_features_->owner_device(u);
-                if (owner != device)
-                    ++rows_by_owner[static_cast<size_t>(owner)];
-            }
-            for (int src = 0; src < num_gpus_; ++src) {
-                const int64_t rows =
-                    rows_by_owner[static_cast<size_t>(src)];
-                if (rows > 0)
-                    peer_s += topo_->transfer(
-                        src, device,
-                        static_cast<uint64_t>(rows) * row_bytes);
-            }
-        }
-    } else {
-        cost.misses = feature_cache_
-                          ? feature_cache_->lookup_batch(unique_nodes)
-                          : cost.uniques;
-        if (tiered_store_ && tiered_store_->active())
-            storage_s += tiered_store_->charge_batch(unique_nodes);
-    }
-    const uint64_t feature_bytes =
-        static_cast<uint64_t>(cost.misses) * row_bytes;
-    const uint64_t bytes = feature_bytes + topo_bytes;
-    const double io_s =
-        spec_.pcie_latency +
-        static_cast<double>(bytes) / spec_.pcie_bw +
-        static_cast<double>(feature_bytes) / spec_.host_gather_bw +
-        peer_s + storage_s;
+    cost.residency = residency_->charge(device, unique_nodes);
 
     // Inference is the forward pass only; the dedup factor credits the
     // aggregation work the shared local-ID space avoids recomputing.
@@ -333,8 +251,7 @@ Server::cost_batch(size_t tier, int device,
     // the decomposition sums bit-exactly to the legacy expression.
     cost.sample_s = opts_.modelled_samplers > 0 ? 0.0 : sample_s;
     cost.id_map_s = id_map_s;
-    cost.io_s = io_s;
-    cost.storage_s = storage_s;
+    cost.io_s = residency_->io_seconds(cost.residency, topo_bytes);
     cost.compute_s = compute_sum * dedup;
     cost.service =
         cost.sample_s + cost.id_map_s + cost.io_s + cost.compute_s;
@@ -426,16 +343,7 @@ struct Server::Engine
         if (s.opts_.autoscale.enabled)
             scaler.emplace(s.opts_.autoscale,
                            s.opts_.modelled_samplers);
-        if (s.feature_cache_)
-            s.feature_cache_->reset_stats();
-        if (s.sharded_features_) {
-            s.sharded_features_->reset_stats();
-            s.sharded_features_->reset_overlay();
-        }
-        if (s.topo_)
-            s.topo_->reset();
-        if (s.tiered_store_)
-            s.tiered_store_->begin_run();
+        s.residency_->begin_run();
 
         // Cache warmup: seed each tier's embedding cache with the
         // hottest nodes of the recorded ranking at virtual time 0,
@@ -456,7 +364,7 @@ struct Server::Engine
                     for (graph::NodeId node : s.ranking_) {
                         if (static_cast<int64_t>(owned.size()) >= cap)
                             break;
-                        if (s.home_device(node) == d)
+                        if (s.residency_->home_device(node) == d)
                             owned.push_back(node);
                     }
                     for (size_t i = owned.size(); i-- > 0;)
@@ -549,19 +457,15 @@ struct Server::Engine
         // owning its oldest request's first target, where that
         // partition's hot rows are cached; 0 when single-GPU.
         const int dev =
-            batch.front().request.targets.empty()
-                ? 0
-                : s.home_device(batch.front().request.targets[0]);
+            s.residency_->home_device(batch.front().request.targets);
         const double free_before =
             vs.gpu_free_at[static_cast<size_t>(dev)];
         const double start = std::max(free_before, at);
         const BatchCost cost = s.cost_batch(m, dev, batch);
         // Dispatched requests leave the prefetch window; their staged
         // blocks (hit or not) stop pinning window references.
-        if (s.tiered_store_ && s.tiered_store_->active()) {
-            for (const PendingRequest &pr : batch)
-                s.tiered_store_->complete_batch(pr.request.id);
-        }
+        for (const PendingRequest &pr : batch)
+            s.residency_->complete_batch(pr.request.id);
         const double completion = start + cost.service;
         vs.gpu_free_at[static_cast<size_t>(dev)] = completion;
         vs.busy += cost.service;
@@ -583,9 +487,10 @@ struct Server::Engine
         profiler.record(prof::Stage::kCompute, start - at,
                         cost.compute_s,
                         static_cast<int64_t>(batch.size()));
-        if (s.tiered_store_ && s.tiered_store_->active())
+        if (s.residency_->storage_active())
             profiler.record(prof::Stage::kStorage, 0.0,
-                            cost.storage_s, cost.misses);
+                            cost.residency.storage_seconds,
+                            cost.residency.misses());
         for (const PendingRequest &pr : batch)
             profiler.record(prof::Stage::kSequencer,
                             at - pr.request.arrival, 0.0, 1);
@@ -600,7 +505,8 @@ struct Server::Engine
         vs.fingerprint = fnv(vs.fingerprint,
                              static_cast<uint64_t>(cost.uniques));
         vs.fingerprint = fnv(vs.fingerprint,
-                             static_cast<uint64_t>(cost.misses));
+                             static_cast<uint64_t>(
+                                 cost.residency.misses()));
         vs.fingerprint = fnv(vs.fingerprint, double_bits(completion));
         // Routed device joins the digest only in multi-GPU runs, so
         // single-GPU fingerprints stay byte-identical to earlier PRs.
@@ -754,8 +660,7 @@ struct Server::Engine
         // first (free hit); in multi-GPU runs a peer device whose
         // batches computed all the targets serves the hit across the
         // interconnect instead of re-running the model.
-        const int home =
-            req.targets.empty() ? 0 : s.home_device(req.targets[0]);
+        const int home = s.residency_->home_device(req.targets);
         bool all_fresh =
             emb(m, home).enabled() && !req.targets.empty();
         for (graph::NodeId node : req.targets)
@@ -779,7 +684,7 @@ struct Server::Engine
                     fresh = emb(m, d).lookup(node, now) && fresh;
                 if (!fresh)
                     continue;
-                const double hop = s.topo_->transfer(
+                const double hop = s.residency_->peer_transfer(
                     d, home,
                     static_cast<uint64_t>(req.targets.size()) *
                         row_bytes);
@@ -828,8 +733,7 @@ struct Server::Engine
         // Admission-time prefetch: the request waits in the batcher
         // anyway, so its storage blocks can stage now — overlapped
         // with the batching delay, not stalled at dispatch.
-        if (s.tiered_store_ && s.tiered_store_->active())
-            s.tiered_store_->stage_future_batch(req.id, sg.nodes);
+        s.residency_->stage_future_batch(req.id, sg.nodes);
         // Modelled sampler pool: the request occupies the earliest-
         // free virtual worker for its modelled sampling time before it
         // may join the batch (the wait here is what the autoscaler
@@ -942,25 +846,16 @@ struct Server::Engine
         st.warmed_rows = tl.warmed_rows;
         st.num_gpus = s.num_gpus_;
         st.embedding_remote_hits = tl.embedding_remote_hits;
-        if (s.sharded_features_) {
-            const match::PartitionCacheCounters totals =
-                s.sharded_features_->totals();
-            st.feature_hits = totals.local_hits + totals.remote_hits;
-            st.feature_misses = totals.misses;
-            st.feature_hit_rate = totals.hit_rate();
-            st.feature_remote_hits = totals.remote_hits;
-            st.per_partition = s.sharded_features_->per_partition();
-        } else if (s.feature_cache_) {
-            st.feature_hits = s.feature_cache_->hits();
-            st.feature_misses = s.feature_cache_->misses();
-            st.feature_hit_rate = s.feature_cache_->hit_rate();
-        }
-        if (s.topo_)
-            st.peer_links = s.topo_->active_links();
-        if (s.tiered_store_) {
-            st.store = s.tiered_store_->stats();
-            st.storage_stall_seconds = st.store.stall_seconds;
-        }
+        store::ResidencyStats residency = s.residency_->stats();
+        st.feature_hits =
+            residency.features.local_hits + residency.features.remote_hits;
+        st.feature_misses = residency.features.misses;
+        st.feature_hit_rate = residency.features.hit_rate();
+        st.feature_remote_hits = residency.features.remote_hits;
+        st.per_partition = std::move(residency.per_partition);
+        st.peer_links = std::move(residency.peer_links);
+        st.store = residency.store;
+        st.storage_stall_seconds = st.store.stall_seconds;
         st.embedding_hit_rate =
             embed_hits + embed_misses
                 ? static_cast<double>(embed_hits) /

@@ -58,7 +58,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -67,10 +66,8 @@
 #include "compute/gnn_model.h"
 #include "compute/kernel_engine.h"
 #include "graph/datasets.h"
-#include "graph/partition.h"
 #include "match/feature_cache.h"
 #include "match/gather_engine.h"
-#include "match/partitioned_cache.h"
 #include "prof/profiler.h"
 #include "sample/fused_hash_table.h"
 #include "serve/autoscaler.h"
@@ -81,8 +78,7 @@
 #include "serve/scheduler.h"
 #include "sim/gpu_spec.h"
 #include "sim/kernel_model.h"
-#include "sim/peer_link.h"
-#include "store/tiered_store.h"
+#include "store/residency.h"
 #include "util/bounded_queue.h"
 #include "util/shutdown.h"
 #include "util/stats.h"
@@ -208,16 +204,13 @@ struct ServerOptions
      *  width and worker_threads count. */
     int compute_threads = 1;
     /**
-     * Modelled device count. 1 (the default) is the legacy
-     * single-device server, bit-identical to earlier PRs. With N > 1
-     * the graph is partitioned into N parts (see `partitioner`), the
-     * feature cache becomes a match::PartitionedFeatureCache whose
-     * shard d owns partition d's hot rows, each tier gets one
-     * embedding cache per device, batches route to the device owning
-     * their oldest request's first target, and rows resident on a peer
-     * shard cross the modelled interconnect (see `peer`) instead of
-     * PCIe. All of it stays on the virtual clock — bit-identical at
-     * any worker count.
+     * Modelled devices. With N > 1 the graph is partitioned into N
+     * parts (`partitioner`), every device holds a full-budget shard of
+     * the feature cache (match::PartitionedFeatureCache) and one
+     * embedding cache per tier, batches route to the device owning
+     * their oldest request's first target, and peer-shard rows cross
+     * the interconnect (`peer`) instead of PCIe. Virtual clock only:
+     * bit-identical at any worker count.
      */
     int num_gpus = 1;
     /** Partitioner that shards the caches when num_gpus > 1. */
@@ -230,14 +223,11 @@ struct ServerOptions
     /** Interconnect shape; num_devices is overridden by num_gpus. */
     sim::PeerTopologyOptions peer;
     /**
-     * Out-of-core tier (store::TieredFeatureStore): feature rows
-     * beyond the host-DRAM budget live on a modelled NVMe/SSD drive.
-     * A dispatched batch's uncached, non-host-resident rows add their
-     * block-read stall to the batch's modelled IO time; admitted
-     * requests stage their blocks with the prefetcher while they wait
-     * in the batcher, so the stall shrinks to the uncovered tail.
-     * Everything stays on the virtual clock — storage=none runs are
-     * byte-identical to earlier PRs, fingerprints included.
+     * Out-of-core tier (store::TieredFeatureStore): rows beyond the
+     * host-DRAM budget live on a modelled drive, and a batch's IO time
+     * adds its demand-read stall. Admitted requests stage their blocks
+     * while they wait in the batcher, so the stall shrinks to the
+     * uncovered tail; storage=none runs are unchanged.
      */
     store::TieredStoreOptions storage;
     /**
@@ -446,11 +436,6 @@ class Server
     int64_t feature_cache_rows() const { return feature_rows_; }
     /** Modelled devices (>= 1); see ServerOptions::num_gpus. */
     int num_gpus() const { return num_gpus_; }
-    /** Cache-sharding partitioning; empty when num_gpus == 1. */
-    const graph::Partitioning &partitioning() const
-    {
-        return partitioning_;
-    }
     /** Resolved embedding-cache capacity of tier @p model. */
     int64_t
     embedding_cache_rows(size_t model = 0) const
@@ -466,10 +451,11 @@ class Server
     }
     /** True when a warmup trace seeds the caches (see ServerOptions). */
     bool warmed() const { return !opts_.warmup.empty(); }
-    /** Out-of-core tier (null when ServerOptions::storage is none). */
-    const store::TieredFeatureStore *tiered_store() const
+    /** Feature cache, shards, partitioning, peer links and storage
+     *  tier built from the cache, num_gpus and storage options. */
+    const store::FeatureResidency &residency() const
     {
-        return tiered_store_.get();
+        return *residency_;
     }
     const ServerOptions &options() const { return opts_; }
 
@@ -518,25 +504,17 @@ class Server
     BatchCost cost_batch(size_t tier, int device,
                          const std::vector<PendingRequest> &batch);
 
-    /** Device owning @p node's partition; 0 when num_gpus == 1. */
-    int home_device(graph::NodeId node) const;
-
     const graph::Dataset &dataset_;
     ServerOptions opts_;
     sim::GpuSpec spec_;
     sim::KernelModel kernels_;
     compute::ComputeCostModel cost_model_;
     std::vector<graph::NodeId> ranking_;
-    std::optional<match::StaticFeatureCache> feature_cache_;
     int64_t feature_rows_ = 0;
     int num_gpus_ = 1;
-    /** The next three exist only when num_gpus_ > 1. */
-    graph::Partitioning partitioning_;
-    std::optional<match::PartitionedFeatureCache> sharded_features_;
-    std::unique_ptr<sim::PeerTopology> topo_;
-    /** Out-of-core tier; null when storage is kNone. Sequencer only
-     *  during serve(), like the caches. */
-    std::unique_ptr<store::TieredFeatureStore> tiered_store_;
+    /** Feature cache, shards, peer links and storage tier. Sequencer
+     *  only during serve(). */
+    std::unique_ptr<store::FeatureResidency> residency_;
     std::vector<Tier> tiers_; ///< >= 1; [0] is the legacy single model.
     int worker_threads_ = 1;
     /**

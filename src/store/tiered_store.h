@@ -1,24 +1,14 @@
 /**
  * @file
- * TieredFeatureStore — the out-of-core tier below the existing caches.
- *
- * Feature residency forms a hierarchy:
- *
- *       GPU cache          match::StaticFeatureCache /
- *          |                PartitionedFeatureCache (hot rows)
- *       host DRAM          the hottest host_mem share of all rows
- *          |
- *       block storage      everything else, on a modelled NVMe/SSD
- *                          drive (sim::StorageLink) in block_bytes
- *                          blocks laid out by store::FeatureLayout
- *
- * A gathered row that hits the GPU cache costs nothing here; a row
- * resident in host DRAM pays only the usual PCIe path (modelled
- * elsewhere); a row on neither tier maps to its storage block and goes
- * through the IoScheduler (coalescing + staging + bounded in-flight
- * windows). The LookaheadPrefetcher lets future batches' blocks be
- * read as overlapped time, so the demand stall shrinks to the
- * uncovered tail.
+ * TieredFeatureStore — the out-of-core tier below the device caches
+ * (store::FeatureResidency stacks the two). The hottest host_mem share
+ * of all rows lives in host DRAM; everything else sits on a modelled
+ * NVMe/SSD drive (sim::StorageLink) in block_bytes blocks laid out by
+ * store::FeatureLayout. A row on neither a device cache nor host DRAM
+ * maps to its block and goes through the IoScheduler (coalescing,
+ * staging, bounded in-flight windows); the LookaheadPrefetcher reads
+ * future batches' blocks as overlapped time, so the demand stall
+ * shrinks to the uncovered tail.
  *
  * Accounting only: the store never touches gathered feature bytes —
  * losses, panels, and fingerprints are bit-identical with storage on
@@ -149,18 +139,20 @@ class TieredFeatureStore
      */
     void begin_run();
 
-    /**
-     * Charge the demand storage reads of the batch being gathered NOW.
-     * @return the stall seconds (reads not covered by staging).
-     */
-    double charge_batch(std::span<const graph::NodeId> nodes);
+    /** Charge the demand storage reads of the batch being gathered
+     *  NOW; returns the stall seconds (reads not covered by staging). */
+    double
+    charge_batch(std::span<const graph::NodeId> nodes)
+    {
+        return charge_rows(nodes, /*check_gpu_cache=*/true);
+    }
 
-    /**
-     * Charge storage reads of rows already known to miss every cache
-     * tier (the multi-GPU accounting path's miss_nodes): like
-     * charge_batch but without the GPU-cache skip.
-     */
-    double charge_miss_rows(std::span<const graph::NodeId> nodes);
+    /** charge_batch for rows already known to miss every device cache. */
+    double
+    charge_miss_rows(std::span<const graph::NodeId> nodes)
+    {
+        return charge_rows(nodes, /*check_gpu_cache=*/false);
+    }
 
     /**
      * Register FUTURE batch @p batch_id's node set with the

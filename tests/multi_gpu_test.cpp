@@ -449,8 +449,8 @@ TEST(MultiGpuTrainer, AccountingNeverMovesTheTrainingTrajectory)
     EXPECT_EQ(sb.num_gpus, 2);
     EXPECT_GT(sb.shard_totals.lookups(), 0);
     EXPECT_EQ(sb.per_partition.size(), 2u);
-    EXPECT_NE(b.sharded_feature_cache(), nullptr);
-    EXPECT_EQ(a.sharded_feature_cache(), nullptr);
+    EXPECT_NE(b.residency().sharded_cache(), nullptr);
+    EXPECT_EQ(a.residency().sharded_cache(), nullptr);
 }
 
 } // namespace

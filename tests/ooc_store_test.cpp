@@ -387,8 +387,8 @@ TEST(OocStore, TrainerLossesBitIdenticalWithStorageOnOff)
     ooc.storage.host_mem_fraction = 0.25;
     ooc.storage.relayout = true;
     core::Trainer trainer(ds, ooc);
-    ASSERT_NE(trainer.tiered_store(), nullptr);
-    ASSERT_TRUE(trainer.tiered_store()->active());
+    ASSERT_NE(trainer.residency().store(), nullptr);
+    ASSERT_TRUE(trainer.residency().store()->active());
     const auto got = trainer.train_epoch();
 
     // Storage is accounting only: the loss curve is bit-identical.
@@ -508,7 +508,7 @@ TEST(OocStoreBudget, PartitionedCacheExposesResidencyAccessors)
     opts.feature_cache_ratio = 0.1;
     core::Trainer trainer(ds, opts);
     const match::PartitionedFeatureCache *cache =
-        trainer.sharded_feature_cache();
+        trainer.residency().sharded_cache();
     ASSERT_NE(cache, nullptr);
     EXPECT_EQ(cache->capacity_rows(), cache->capacity_rows_per_device());
     for (int d = 0; d < cache->num_devices(); ++d) {

@@ -15,6 +15,7 @@
 #include "prof/profiler.h"
 #include "serve/load_generator.h"
 #include "serve/server.h"
+#include "sim/gpu_spec.h"
 
 namespace fastgl {
 namespace {
@@ -246,6 +247,57 @@ TEST(ProfilerTest, GoldenProfileFingerprint)
     const uint64_t fp_b = b.train_epoch().profile.fingerprint();
     EXPECT_EQ(fp_a, fp_b);
     EXPECT_EQ(fp_a, kGoldenTrainProfile);
+}
+
+TEST(ProfilerTest, TrainerGatherStageChargesTheFeatureResidency)
+{
+    // Training's gather stage charges what serving's does: one PCIe
+    // launch per batch, the rows that miss every device cache over
+    // PCIe and through the host gather, plus the peer-link seconds.
+    const graph::Dataset &ds = train_reddit();
+    core::TrainerOptions opts;
+    opts.fanouts = {4, 4};
+    opts.max_batches = 4;
+    opts.batch_size = 32;
+    opts.profile = true;
+    const sim::GpuSpec spec = sim::rtx3090();
+    const double row_bytes = double(ds.features.row_bytes());
+    const auto gather_busy = [](const core::TrainEpochStats &s) {
+        return s.profile.stages[size_t(prof::Stage::kGather)]
+            .busy_seconds;
+    };
+    const auto expected = [&](int64_t misses, double peer_seconds) {
+        const double bytes = double(misses) * row_bytes;
+        return 4 * spec.pcie_latency + bytes / spec.pcie_bw +
+               bytes / spec.host_gather_bw + peer_seconds;
+    };
+
+    // Cache 0 on one GPU is the golden configuration: it must not move.
+    core::Trainer cold(ds, opts);
+    const auto uncached = cold.train_epoch();
+    EXPECT_EQ(uncached.profile.fingerprint(), kGoldenTrainProfile);
+
+    // Cached rows skip PCIe, so a warm cache shortens the stage.
+    opts.feature_cache_ratio = 0.5;
+    core::Trainer warm(ds, opts);
+    const auto cached = warm.train_epoch();
+    ASSERT_GT(cached.gather.cache_hits, 0);
+    EXPECT_LT(gather_busy(cached), gather_busy(uncached));
+    EXPECT_NEAR(gather_busy(cached),
+                expected(cached.gather.cache_misses, 0.0),
+                1e-9 * gather_busy(cached));
+
+    // Two sharded GPUs: shard misses cross PCIe, peer hits the links.
+    opts.num_gpus = 2;
+    core::Trainer sharded(ds, opts);
+    const auto multi = sharded.train_epoch();
+    double peer_seconds = 0.0;
+    for (const sim::PeerLinkStats &link : multi.peer_links)
+        peer_seconds += link.seconds;
+    ASSERT_GT(peer_seconds, 0.0);
+    EXPECT_NEAR(gather_busy(multi),
+                expected(multi.shard_totals.misses, peer_seconds),
+                1e-9 * gather_busy(multi));
 }
 
 // ---------------------------------------------------------------------

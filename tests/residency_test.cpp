@@ -7,6 +7,8 @@
  * the run reports — feature-cache hits and misses, shard totals,
  * per-partition counters, per-link peer traffic, and the store's
  * counters and stall/hidden seconds — and must agree at widths 1/4/8.
+ * Unit cases check that store::FeatureResidency::charge puts every row
+ * in exactly one tier and that its seconds match the tiers it charged.
  */
 #include <gtest/gtest.h>
 
@@ -15,8 +17,11 @@
 
 #include "core/trainer.h"
 #include "graph/datasets.h"
+#include "graph/generators.h"
 #include "serve/load_generator.h"
 #include "serve/server.h"
+#include "sim/gpu_spec.h"
+#include "store/residency.h"
 #include "util/fnv.h"
 
 namespace fastgl {
@@ -208,6 +213,128 @@ TEST(MultiGpuGolden, ServerShardedNvmeIsPinnedAtAnyWidth)
     for (const int width : {1, 4, 8})
         EXPECT_EQ(server_digest(2, width), kGoldenServerShardedNvme)
             << "width=" << width;
+}
+
+// ------------------------------------------------- charge() unit cases
+
+/** Ring graph whose hotness ranking is ascending node ID. */
+struct RingFixture
+{
+    graph::CsrGraph graph = graph::generate_ring(64, 2, 7);
+    graph::FeatureStore features{graph.num_nodes(), 8, 4, 1, false};
+    std::vector<graph::NodeId> ranking;
+    sim::GpuSpec spec = sim::rtx3090();
+
+    RingFixture()
+    {
+        for (graph::NodeId u = 0; u < graph.num_nodes(); ++u)
+            ranking.push_back(u);
+    }
+
+    double
+    pcie_seconds(int64_t misses, uint64_t extra_bytes = 0) const
+    {
+        const uint64_t bytes =
+            uint64_t(misses) * features.row_bytes();
+        return spec.pcie_latency +
+               double(bytes + extra_bytes) / spec.pcie_bw +
+               double(bytes) / spec.host_gather_bw;
+    }
+};
+
+TEST(OocStoreResidency, WithoutTiersEveryRowIsAHostRow)
+{
+    const RingFixture f;
+    store::FeatureResidency residency(f.features, f.graph, f.ranking,
+                                      f.spec, store::ResidencyOptions{});
+    residency.begin_run();
+    const std::vector<graph::NodeId> batch = {3, 9, 40};
+    EXPECT_EQ(residency.home_device(batch), 0);
+    const store::ResidencyCharge c = residency.charge(0, batch);
+    EXPECT_EQ(c.host_rows, 3);
+    EXPECT_EQ(c.local_rows + c.remote_rows + c.storage_rows, 0);
+    EXPECT_EQ(c.peer_seconds + c.storage_seconds, 0.0);
+    EXPECT_EQ(residency.io_seconds(c, 100), f.pcie_seconds(3, 100));
+    EXPECT_EQ(residency.stats().features.lookups(), 0);
+    EXPECT_FALSE(residency.storage_active());
+}
+
+TEST(OocStoreResidency, CacheAndStorageSplitEveryRowOnce)
+{
+    const RingFixture f;
+    store::ResidencyOptions opts;
+    opts.cache_rows = 2; // nodes 0 and 1
+    opts.storage.storage = store::StorageKind::kNvme;
+    opts.storage.host_mem_rows = 16; // nodes 0..15
+    opts.storage.prefetch_depth = 0;
+    store::FeatureResidency residency(f.features, f.graph, f.ranking,
+                                      f.spec, opts);
+    residency.begin_run();
+    ASSERT_TRUE(residency.storage_active());
+
+    // 0 is cached, 5/15 live in host DRAM, 16/40/40/33 on storage.
+    const std::vector<graph::NodeId> batch = {0, 5, 15, 16, 40, 40, 33};
+    const store::ResidencyCharge c = residency.charge(0, batch);
+    EXPECT_EQ(c.local_rows, 1);
+    EXPECT_EQ(c.host_rows, 2);
+    EXPECT_EQ(c.storage_rows, 4);
+    EXPECT_EQ(c.misses(), 6);
+    EXPECT_EQ(c.peer_seconds, 0.0);
+    EXPECT_GT(c.storage_seconds, 0.0);
+    EXPECT_EQ(residency.io_seconds(c),
+              f.pcie_seconds(6) + c.storage_seconds);
+
+    const store::ResidencyStats s = residency.stats();
+    EXPECT_EQ(s.features.local_hits, 1);
+    EXPECT_EQ(s.features.misses, 6);
+    EXPECT_EQ(s.store.storage_rows, 4);
+    EXPECT_EQ(s.store.stall_seconds, c.storage_seconds);
+    residency.begin_run();
+    EXPECT_EQ(residency.stats().features.lookups(), 0);
+}
+
+TEST(MultiGpuResidency, ShardedChargeShipsRemoteAndPeerOwnedRows)
+{
+    const RingFixture f;
+    store::ResidencyOptions opts;
+    opts.cache_rows = 8;
+    opts.num_devices = 2;
+    opts.shard_rows = 8;
+    opts.storage.storage = store::StorageKind::kNvme;
+    opts.storage.host_mem_rows = 0; // every miss reads storage
+    opts.storage.prefetch_depth = 0;
+    store::FeatureResidency residency(f.features, f.graph, f.ranking,
+                                      f.spec, opts);
+    residency.begin_run();
+    ASSERT_NE(residency.sharded_cache(), nullptr);
+
+    const std::vector<graph::NodeId> all(f.ranking);
+    const int dev = residency.home_device(all);
+    EXPECT_EQ(dev, residency.sharded_cache()->owner_device(all[0]));
+    const store::ResidencyCharge c = residency.charge(dev, all);
+    EXPECT_EQ(c.local_rows + c.remote_rows + c.host_rows + c.storage_rows,
+              int64_t(all.size()));
+    EXPECT_EQ(c.host_rows, 0);
+    EXPECT_GT(c.remote_rows, 0);
+    EXPECT_GT(c.storage_rows, 0);
+
+    // Remote hits and peer-owned storage rows both cross the links.
+    const store::ResidencyStats s = residency.stats();
+    double link_seconds = 0.0;
+    uint64_t link_bytes = 0;
+    for (const sim::PeerLinkStats &link : s.peer_links) {
+        EXPECT_EQ(link.dst, dev);
+        link_seconds += link.seconds;
+        link_bytes += link.bytes;
+    }
+    EXPECT_EQ(c.peer_seconds, link_seconds);
+    EXPECT_GT(link_bytes,
+              uint64_t(c.remote_rows) * f.features.row_bytes());
+    EXPECT_EQ(s.features.remote_hits, c.remote_rows);
+    EXPECT_EQ(s.store.stall_seconds, c.storage_seconds);
+    EXPECT_EQ(residency.io_seconds(c),
+              f.pcie_seconds(c.misses()) + c.peer_seconds +
+                  c.storage_seconds);
 }
 
 } // namespace

@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 
 #include "fastgl.h"
@@ -68,16 +69,20 @@ class Args
         return it == values_.end() ? fallback : std::stoll(it->second);
     }
 
-    /** get_int, failing fast (naming the flag) below @p min. */
+    /** get_int, failing fast (naming the flag) below @p min or, when
+     *  given, above @p max. */
     int64_t
     get_int_at_least(const std::string &key, int64_t fallback,
-                     int64_t min) const
+                     int64_t min,
+                     std::optional<int64_t> max = std::nullopt) const
     {
         const int64_t value = get_int(key, fallback);
-        if (value < min)
-            util::fatal("--" + key + " must be >= " +
-                        std::to_string(min) + " (got " +
-                        std::to_string(value) + ")");
+        if (value < min || (max && value > *max))
+            util::fatal("--" + key + " must be " +
+                        (max ? "in [" + std::to_string(min) + ", " +
+                                   std::to_string(*max) + "]"
+                             : ">= " + std::to_string(min)) +
+                        " (got " + std::to_string(value) + ")");
         return value;
     }
 
@@ -466,6 +471,12 @@ run_train(const Args &args)
         core::framework_preset(core::Framework::kFastGL).compute_threads,
         0));
     opts.num_gpus = int(args.get_int_at_least("gpus", 1, 1));
+    // The shards need a cache budget: default one in when --gpus asks
+    // for the accounting pass but no --cache-pct was given.
+    opts.feature_cache_ratio =
+        double(args.get_int_at_least(
+            "cache-pct", opts.num_gpus > 1 ? 20 : 0, 0, 100)) /
+        100.0;
 
     graph::ReplicaOptions ropts;
     ropts.size_factor = double(scale_pct) / 100.0;
@@ -477,11 +488,6 @@ run_train(const Args &args)
         float(args.get_int("lr-milli", 3)) / 1000.0f;
     opts.seed = uint64_t(args.get_int("seed", 3407));
     opts.partitioner = parse_partitioner(args.get("partitioner", "ldg"));
-    // The shards need a cache budget: default one in when --gpus asks
-    // for the accounting pass but no --cache-pct was given.
-    opts.feature_cache_ratio =
-        double(args.get_int("cache-pct", opts.num_gpus > 1 ? 20 : 0)) /
-        100.0;
     opts.storage = parse_storage_opts(args, ds);
     const std::string profile_json = args.get("profile-json", "");
     opts.profile = args.has("profile") || !profile_json.empty();
@@ -523,9 +529,8 @@ run_train(const Args &args)
             print_partition_traffic(stats.per_partition,
                                     stats.peer_links);
         }
-        if (trainer.tiered_store() != nullptr &&
-            trainer.tiered_store()->active()) {
-            print_store_summary(trainer.tiered_store());
+        if (trainer.residency().storage_active()) {
+            print_store_summary(trainer.residency().store());
             std::printf("  modelled epoch %s (compute %s + storage "
                         "stall %s)\n",
                         util::human_seconds(stats.modelled_epoch_seconds)
@@ -577,6 +582,12 @@ run_serve(const Args &args)
                     " is fewer than --clients " +
                     std::to_string(clients) +
                     ": every closed-loop client issues >= 1 request");
+    serve::ServerOptions sopts;
+    sopts.batcher.max_wait =
+        double(args.get_int_at_least("wait-us", 2000, 0)) / 1e6;
+    sopts.feature_cache_ratio =
+        double(args.get_int_at_least("cache-pct", 20, 0, 100)) / 100.0;
+    sopts.num_gpus = int(args.get_int_at_least("gpus", 1, 1));
 
     graph::ReplicaOptions ropts;
     ropts.materialize_features = false;
@@ -584,21 +595,15 @@ run_serve(const Args &args)
     const graph::Dataset ds = graph::load_replica(
         parse_dataset(args.get("dataset", "products")), ropts);
 
-    serve::ServerOptions sopts;
     sopts.worker_threads = int(args.get_int("threads", 4));
     sopts.model.type = parse_model(args.get("model", "gcn"));
     sopts.batcher.max_batch = int(batch_max);
-    sopts.batcher.max_wait =
-        double(args.get_int("wait-us", 2000)) / 1e6;
     sopts.admission.max_pending = args.get_int("max-pending", 64);
     sopts.drr_quantum =
         double(args.get_int("drr-quantum-us", 1000)) / 1e6;
-    sopts.feature_cache_ratio =
-        double(args.get_int("cache-pct", 20)) / 100.0;
     sopts.embedding.capacity_rows = args.get_int("embed-rows", -1);
     sopts.compute_logits = args.get_int("logits", 0) != 0;
     sopts.compute_threads = int(args.get_int("compute-threads", 1));
-    sopts.num_gpus = int(args.get_int("gpus", 1));
     sopts.partitioner =
         parse_partitioner(args.get("partitioner", "ldg"));
     const std::string shard = args.get("shard", "sharded");
@@ -736,7 +741,7 @@ run_serve(const Args &args)
     if (st.warmed)
         std::printf("  warmup: %lld embedding rows pre-seeded\n",
                     static_cast<long long>(st.warmed_rows));
-    print_store_summary(server.tiered_store());
+    print_store_summary(server.residency().store());
     if (st.num_gpus > 1) {
         std::printf("  %d modelled devices (%s, %s): %lld remote "
                     "feature hits, %lld remote embedding hits\n",
