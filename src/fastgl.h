@@ -10,7 +10,7 @@
  *  - fastgl::sim     — RTX-3090 device model (caches, PCIe, kernels)
  *  - fastgl::sample  — k-hop / random-walk samplers, Fused-Map ID mapping
  *  - fastgl::match   — Match-Reorder transfer planning, feature caches
- *  - fastgl::store   — out-of-core tiered feature store (NVMe model)
+ *  - fastgl::store   — feature residency charge, out-of-core NVMe tier
  *  - fastgl::compute — GCN/GIN/GAT numerics + Memory-Aware cost model
  *  - fastgl::core    — framework presets, epoch pipeline, trainer
  *  - fastgl::serve   — online inference serving (batching, SLO control)
@@ -55,6 +55,7 @@
 #include "store/feature_layout.h"
 #include "store/io_scheduler.h"
 #include "store/prefetcher.h"
+#include "store/residency.h"
 #include "store/tiered_store.h"
 #include "util/logging.h"
 #include "util/stats.h"

@@ -20,6 +20,7 @@
 #include <span>
 #include <vector>
 
+#include "graph/csr_graph.h"
 #include "graph/feature_store.h"
 #include "graph/partition.h"
 #include "match/feature_cache.h"
@@ -140,6 +141,8 @@ class FeatureResidency
     }
 
     ResidencyStats stats() const;
+    /** Null when cache_rows is 0. charge() tallies into stats(), not
+     *  into the cache's own counters (those are the gather engine's). */
     const match::StaticFeatureCache *
     static_cache() const
     {

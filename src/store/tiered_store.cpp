@@ -144,6 +144,19 @@ TieredFeatureStore::charge_rows(std::span<const graph::NodeId> nodes,
 }
 
 double
+TieredFeatureStore::charge_batch(std::span<const graph::NodeId> nodes)
+{
+    return charge_rows(nodes, /*check_gpu_cache=*/true);
+}
+
+double
+TieredFeatureStore::charge_miss_rows(
+    std::span<const graph::NodeId> nodes)
+{
+    return charge_rows(nodes, /*check_gpu_cache=*/false);
+}
+
+double
 TieredFeatureStore::stage_future_batch(
     int64_t batch_id, std::span<const graph::NodeId> nodes)
 {

@@ -139,20 +139,18 @@ class TieredFeatureStore
      */
     void begin_run();
 
-    /** Charge the demand storage reads of the batch being gathered
-     *  NOW; returns the stall seconds (reads not covered by staging). */
-    double
-    charge_batch(std::span<const graph::NodeId> nodes)
-    {
-        return charge_rows(nodes, /*check_gpu_cache=*/true);
-    }
+    /**
+     * Charge the demand storage reads of the batch being gathered NOW.
+     * @return the stall seconds (reads not covered by staging).
+     */
+    double charge_batch(std::span<const graph::NodeId> nodes);
 
-    /** charge_batch for rows already known to miss every device cache. */
-    double
-    charge_miss_rows(std::span<const graph::NodeId> nodes)
-    {
-        return charge_rows(nodes, /*check_gpu_cache=*/false);
-    }
+    /**
+     * Charge storage reads of rows already known to miss every device
+     * cache (a sharded cache's miss_nodes): like charge_batch but
+     * without the GPU-cache skip.
+     */
+    double charge_miss_rows(std::span<const graph::NodeId> nodes);
 
     /**
      * Register FUTURE batch @p batch_id's node set with the
