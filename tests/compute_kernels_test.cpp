@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "compute/aggregate.h"
@@ -217,9 +218,11 @@ const int kWidths[] = {1, 4, 8};
 TEST(ComputeKernels, GemmMatchesLegacyBitwiseAtAnyWidth)
 {
     util::Rng rng(11);
-    // Shapes straddle the 4x16 tile: tiny, tail-heavy, and tile-exact.
-    const int64_t shapes[][3] = {
-        {1, 1, 1}, {5, 3, 2}, {33, 17, 29}, {64, 32, 48}, {70, 96, 130}};
+    // Shapes straddle the row tiles and the 16-wide panel: tiny,
+    // tail-heavy, tile-exact, and a long run of rows over a tail panel.
+    const int64_t shapes[][3] = {{1, 1, 1},     {5, 3, 2},
+                                 {33, 17, 29},  {64, 32, 48},
+                                 {70, 96, 130}, {1001, 200, 47}};
     for (const auto &s : shapes) {
         const Tensor a = random_with_zeros(s[0], s[1], rng);
         const Tensor b = Tensor::randn(s[1], s[2], rng, 1.0f);
@@ -239,7 +242,10 @@ TEST(ComputeKernels, GemmMatchesLegacyBitwiseAtAnyWidth)
 TEST(ComputeKernels, GemmTaMatchesLegacyBitwiseAtAnyWidth)
 {
     util::Rng rng(12);
-    const int64_t shapes[][3] = {{3, 5, 2}, {17, 33, 29}, {96, 40, 64}};
+    // The last shape runs a long k loop and leaves a row tail for both
+    // the 2- and the 4-row tile.
+    const int64_t shapes[][3] = {
+        {3, 5, 2}, {17, 33, 29}, {96, 40, 64}, {3000, 201, 64}};
     for (const auto &s : shapes) {
         // A is [k x m] here; C = A^T B is [m x n].
         const Tensor a = random_with_zeros(s[0], s[1], rng);
@@ -317,6 +323,131 @@ TEST(ComputeKernels, FusedEpilogueEqualsSeparateOpsBitwise)
     Tensor got_plain(37, 19);
     engine.gemm_fused(a, b, nullptr, Activation::kNone, 0.0f, got_plain);
     EXPECT_TRUE(bitwise_equal(want_plain, got_plain));
+}
+
+// --------------------------------------------------- zero-skip semantics
+
+/**
+ * Operand with signed zeros: zero wherever (row + col) % 3 == 0, +0.0
+ * on even rows and -0.0 on odd ones. The pattern is symmetric, so it
+ * is the same for A stored [m x k] (gemm) and [k x m] (gemm_ta).
+ */
+Tensor
+signed_zero_operand(int64_t rows, int64_t cols, util::Rng &rng)
+{
+    Tensor t = Tensor::randn(rows, cols, rng, 1.0f);
+    for (int64_t r = 0; r < rows; ++r)
+        for (int64_t c = 0; c < cols; ++c)
+            if ((r + c) % 3 == 0)
+                t.at(r, c) = r % 2 ? -0.0f : 0.0f;
+    return t;
+}
+
+/**
+ * B operand ([k x n], k >= 8) with @p planted in every third column
+ * of row 2, -planted in every fourth column of row 5 and -0.0 in
+ * every other column of row 7. With signed_zero_operand as A, output
+ * rows i % 3 == 1 have zero A at p = 2 and p = 5, so they stay finite
+ * only because the zero-skip drops those terms.
+ */
+Tensor
+non_finite_operand(int64_t k, int64_t n, float planted, util::Rng &rng)
+{
+    Tensor t = Tensor::randn(k, n, rng, 1.0f);
+    for (int64_t j = 0; j < n; ++j) {
+        if (j % 3 == 0)
+            t.at(2, j) = planted;
+        if (j % 4 == 0)
+            t.at(5, j) = -planted;
+        if (j % 2 == 0)
+            t.at(7, j) = -0.0f;
+    }
+    return t;
+}
+
+/** Bitwise equal, except that any NaN matches any NaN. */
+bool
+equal_or_both_nan(const Tensor &x, const Tensor &y)
+{
+    if (!x.same_shape(y))
+        return false;
+    for (int64_t i = 0; i < x.numel(); ++i) {
+        const float u = x.data()[i], v = y.data()[i];
+        if (std::isnan(u) || std::isnan(v)) {
+            if (!(std::isnan(u) && std::isnan(v)))
+                return false;
+        } else if (std::memcmp(&u, &v, sizeof u) != 0) {
+            return false;
+        }
+    }
+    return true;
+}
+
+/**
+ * gemm, gemm_ta and gemm_fused (bias + ReLU) against the legacy loops
+ * when B holds @p planted and -planted and A holds signed zeros, at
+ * widths 1/4/8. @p nan_aware relaxes the match for NaN outputs: which
+ * NaN payload an add propagates depends on its operand order, which
+ * no kernel pins.
+ */
+void
+expect_zero_skip_matches_legacy(float planted, bool nan_aware)
+{
+    util::Rng rng(16);
+    // {m, k, n}; gemm_ta reads A as [k x m].
+    const int64_t shapes[][3] = {{9, 8, 5}, {37, 23, 21}, {70, 96, 130}};
+    for (const auto &s : shapes) {
+        const Tensor a = signed_zero_operand(s[0], s[1], rng);
+        const Tensor at = signed_zero_operand(s[1], s[0], rng);
+        const Tensor b = non_finite_operand(s[1], s[2], planted, rng);
+        const Tensor bias = Tensor::randn(1, s[2], rng, 1.0f);
+        Tensor want(s[0], s[2]), want_ta(s[0], s[2]);
+        legacy_gemm(a, b, want);
+        legacy_gemm_ta(at, b, want_ta);
+        Tensor want_fused = want;
+        compute::add_bias(want_fused, bias);
+        compute::relu_forward(want_fused);
+
+        // The case only pins the skip if some outputs are finite and
+        // some are not.
+        int64_t finite = 0;
+        for (int64_t i = 0; i < want.numel(); ++i)
+            finite += std::isfinite(want.data()[i]);
+        EXPECT_GT(finite, 0);
+        EXPECT_LT(finite, want.numel());
+
+        const auto same = nan_aware ? equal_or_both_nan : bitwise_equal;
+        for (int threads : kWidths) {
+            KernelEngine engine(threads);
+            Tensor got(s[0], s[2]), got_ta(s[0], s[2]),
+                got_fused(s[0], s[2]);
+            engine.gemm(a, b, got);
+            engine.gemm_ta(at, b, got_ta);
+            engine.gemm_fused(a, b, &bias, Activation::kRelu, 0.0f,
+                              got_fused);
+            EXPECT_TRUE(same(want, got))
+                << "gemm " << s[0] << "x" << s[1] << "x" << s[2]
+                << " at " << threads << " threads";
+            EXPECT_TRUE(same(want_ta, got_ta))
+                << "gemm_ta " << s[0] << "x" << s[1] << "x" << s[2]
+                << " at " << threads << " threads";
+            EXPECT_TRUE(same(want_fused, got_fused))
+                << "gemm_fused " << s[0] << "x" << s[1] << "x" << s[2]
+                << " at " << threads << " threads";
+        }
+    }
+}
+
+TEST(ComputeKernels, ZeroSkipMatchesLegacyWithInfAndSignedZerosBitwise)
+{
+    expect_zero_skip_matches_legacy(
+        std::numeric_limits<float>::infinity(), /*nan_aware=*/false);
+}
+
+TEST(ComputeKernels, ZeroSkipMatchesLegacyWithNanInB)
+{
+    expect_zero_skip_matches_legacy(
+        std::numeric_limits<float>::quiet_NaN(), /*nan_aware=*/true);
 }
 
 TEST(ComputeKernels, ActivationBiasBackwardEqualsSeparateOpsBitwise)
