@@ -2,22 +2,28 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
+#include <string>
 #include <vector>
 
 #include "util/arena.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
-// The blocked GEMM microkernel is stamped once per instruction set and
-// selected at runtime. Both stamps execute the exact same IEEE mul/add
-// sequence per output element — the avx2 stamp widens the vectors but
-// deliberately does NOT enable fma, whose contraction would change
-// results — so dispatch never affects bits, only speed.
+// The GEMM register tile and the aggregation kernels are stamped once
+// per instruction set and selected at runtime. Both stamps execute the
+// exact same IEEE mul/add sequence per output element — the avx2 stamp
+// widens the vectors but deliberately does NOT enable fma, whose
+// contraction would change results — so dispatch never affects bits,
+// only speed. FASTGL_KERNEL_VEC_BYTES hands each stamp its GEMM vector
+// width: GCC does not define __AVX__ under a target pragma, so the
+// stamp cannot detect it.
 namespace {
 #define FASTGL_KERNEL_NS base
+#define FASTGL_KERNEL_VEC_BYTES 16
 #include "compute/kernel_impl.inc"
+#undef FASTGL_KERNEL_VEC_BYTES
 #undef FASTGL_KERNEL_NS
 
 #if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
@@ -25,14 +31,16 @@ namespace {
 #pragma GCC push_options
 #pragma GCC target("avx2")
 #define FASTGL_KERNEL_NS avx2
+#define FASTGL_KERNEL_VEC_BYTES 32
 #include "compute/kernel_impl.inc"
+#undef FASTGL_KERNEL_VEC_BYTES
 #undef FASTGL_KERNEL_NS
 #pragma GCC pop_options
 #endif
 
-using PackFn = void (*)(const float *, int64_t, int64_t, float *);
+using PackFn = bool (*)(const float *, int64_t, int64_t, float *);
 using GemmRowsFn = void (*)(const float *, int64_t, int64_t,
-                            const float *, int64_t, int64_t, bool,
+                            const float *, int64_t, int64_t,
                             const float *, int, float, float *, int64_t,
                             int64_t);
 using AggFwdFn = void (*)(const fastgl::graph::EdgeId *,
@@ -49,19 +57,24 @@ struct Kernels
 {
     PackFn pack_b;
     PackFn pack_bt;
-    GemmRowsFn gemm_rows;
+    GemmRowsFn gemm_rows;      ///< No zero test: B finite, or gemm_tb.
+    GemmRowsFn gemm_rows_skip; ///< Zero-skip select: B holds Inf/NaN.
     AggFwdFn agg_forward_rows;
     AggBwdFn agg_backward_rows;
 };
 
-constexpr Kernels kBaseKernels{base::pack_panels, base::pack_panels_t,
-                               base::gemm_rows, base::agg_forward_rows,
-                               base::agg_backward_rows};
+constexpr Kernels kBaseKernels{
+    base::pack_panels,         base::pack_panels_t,
+    base::gemm_rows<false>,    base::gemm_rows<true>,
+    base::agg_forward_rows,    base::agg_backward_rows};
+
+constexpr size_t kPanelAlign = base::kPanelAlign;
 
 #ifdef FASTGL_HAVE_AVX2_VARIANT
-constexpr Kernels kAvx2Kernels{avx2::pack_panels, avx2::pack_panels_t,
-                               avx2::gemm_rows, avx2::agg_forward_rows,
-                               avx2::agg_backward_rows};
+constexpr Kernels kAvx2Kernels{
+    avx2::pack_panels,         avx2::pack_panels_t,
+    avx2::gemm_rows<false>,    avx2::gemm_rows<true>,
+    avx2::agg_forward_rows,    avx2::agg_backward_rows};
 
 /**
  * Smallest wall time of a few GEMM microkernel runs on an L1-resident
@@ -70,21 +83,25 @@ constexpr Kernels kAvx2Kernels{avx2::pack_panels, avx2::pack_panels_t,
  * trap them, sometimes an order of magnitude slower than SSE — so the
  * stamps are raced once at startup, per kernel family (the GEMM and
  * aggregation kernels stress different instruction mixes, so one stamp
- * can win one family and lose the other). Every stamp produces the
- * same bits, so the choice — even mixed per family — can never affect
- * results, only speed.
+ * can win one family and lose the other). The race runs the body
+ * without the zero test, which is what finite operands run. Every
+ * stamp produces the same bits, so the choice — even mixed per family
+ * — can never affect results, only speed.
  */
 double
 time_gemm(const Kernels &ks)
 {
     constexpr int64_t d = 48;
-    std::vector<float> a(d * d, 1.0f), packed(d * d + 64), c(d * d);
-    ks.pack_b(a.data(), d, d, packed.data());
+    std::vector<float> a(d * d, 1.0f), c(d * d);
+    fastgl::util::ArenaAllocator arena;
+    float *packed = static_cast<float *>(
+        arena.allocate(d * d * sizeof(float), kPanelAlign));
+    ks.pack_b(a.data(), d, d, packed);
     double best = 1e30;
     for (int round = 0; round < 3; ++round) {
         const auto t0 = std::chrono::steady_clock::now();
-        ks.gemm_rows(a.data(), d, 1, packed.data(), d, d, true, nullptr,
-                     0, 0.0f, c.data(), 0, d);
+        ks.gemm_rows(a.data(), d, 1, packed, d, d, nullptr, 0, 0.0f,
+                     c.data(), 0, d);
         best = std::min(
             best, std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - t0)
@@ -124,18 +141,23 @@ const Kernels &
 kernels()
 {
     static const Kernels selected = [] {
+        const char *force = std::getenv("FASTGL_KERNEL_ISA");
+        const std::string isa = force ? force : "";
+        if (!isa.empty() && isa != "base" && isa != "avx2")
+            fastgl::util::fatal("FASTGL_KERNEL_ISA=" + isa +
+                                ": expected base or avx2");
+        if (isa == "base")
+            return kBaseKernels;
 #ifdef FASTGL_HAVE_AVX2_VARIANT
         if (__builtin_cpu_supports("avx2")) {
-            const char *force = std::getenv("FASTGL_KERNEL_ISA");
-            if (force && std::strcmp(force, "base") == 0)
-                return kBaseKernels;
-            if (force && std::strcmp(force, "avx2") == 0)
+            if (isa == "avx2")
                 return kAvx2Kernels;
             Kernels mixed = kBaseKernels;
             if (time_gemm(kAvx2Kernels) < time_gemm(kBaseKernels)) {
                 mixed.pack_b = kAvx2Kernels.pack_b;
                 mixed.pack_bt = kAvx2Kernels.pack_bt;
                 mixed.gemm_rows = kAvx2Kernels.gemm_rows;
+                mixed.gemm_rows_skip = kAvx2Kernels.gemm_rows_skip;
             }
             if (time_agg(kAvx2Kernels) < time_agg(kBaseKernels)) {
                 mixed.agg_forward_rows = kAvx2Kernels.agg_forward_rows;
@@ -144,6 +166,9 @@ kernels()
             return mixed;
         }
 #endif
+        if (isa == "avx2")
+            fastgl::util::fatal("FASTGL_KERNEL_ISA=avx2: this build or "
+                                "CPU has no avx2 kernel stamp");
         return kBaseKernels;
     }();
     return selected;
@@ -218,7 +243,6 @@ KernelEngine::gemm_any(AKind kind, const Tensor &a, const Tensor &b,
                        Tensor &c)
 {
     int64_t m = 0, k = 0, n = 0, sa_row = 0, sa_col = 0;
-    bool skip_zero = true;
     switch (kind) {
       case AKind::kNormal:
         FASTGL_CHECK(a.cols() == b.rows(), "gemm inner dim mismatch");
@@ -240,9 +264,6 @@ KernelEngine::gemm_any(AKind kind, const Tensor &a, const Tensor &b,
                      "gemm_tb output shape mismatch");
         m = a.rows(), k = a.cols(), n = b.rows();
         sa_row = k, sa_col = 1;
-        // The naive gemm_tb has no zero-skip shortcut; keep its exact
-        // FP term set.
-        skip_zero = false;
         break;
     }
     if (bias)
@@ -254,17 +275,25 @@ KernelEngine::gemm_any(AKind kind, const Tensor &a, const Tensor &b,
     const Clock::time_point t0 = Clock::now();
     const Kernels &ks = kernels();
 
-    // Pack all of B once into panel layout, in per-caller-thread arena
-    // scratch (workers only read the packed panels).
+    // Pack all of B once into 64-byte-aligned panels, in per-caller-
+    // thread arena scratch (workers only read the packed panels).
     const int64_t panels = (n + kPanelWidth - 1) / kPanelWidth;
     thread_local util::ArenaAllocator pack_arena;
     pack_arena.reset();
-    float *packed = pack_arena.alloc_array<float>(
-        static_cast<size_t>(panels * k * kPanelWidth));
-    if (kind == AKind::kTransB)
-        ks.pack_bt(b.data(), n, k, packed);
-    else
-        ks.pack_b(b.data(), k, n, packed);
+    float *packed = static_cast<float *>(pack_arena.allocate(
+        static_cast<size_t>(panels * k * kPanelWidth) * sizeof(float),
+        kPanelAlign));
+    const bool b_finite = kind == AKind::kTransB
+                              ? ks.pack_bt(b.data(), n, k, packed)
+                              : ks.pack_b(b.data(), k, n, packed);
+    // The naive gemm and gemm_ta skip the terms where A(i,p) == 0;
+    // gemm_tb has no such shortcut. The skip drops av * b, which is
+    // +-0 for finite b, and adding +-0 to an accumulator that started
+    // at +0 never changes it. So the skip changes bits only when B
+    // holds Inf or NaN, and only then runs the select body.
+    const bool skip_zero = kind != AKind::kTransB && !b_finite;
+    const GemmRowsFn gemm_rows =
+        skip_zero ? ks.gemm_rows_skip : ks.gemm_rows;
 
     const float *adata = a.data();
     const float *bias_data = bias ? bias->data() : nullptr;
@@ -273,8 +302,8 @@ KernelEngine::gemm_any(AKind kind, const Tensor &a, const Tensor &b,
                      : act == Activation::kLeakyRelu ? 2
                                                      : 0;
     parallel_rows(m, [&](int64_t i0, int64_t i1) {
-        ks.gemm_rows(adata, sa_row, sa_col, packed, k, n, skip_zero,
-                     bias_data, iact, alpha, cdata, i0, i1);
+        gemm_rows(adata, sa_row, sa_col, packed, k, n, bias_data, iact,
+                  alpha, cdata, i0, i1);
     });
 
     if (record_stats_) {
@@ -282,6 +311,7 @@ KernelEngine::gemm_any(AKind kind, const Tensor &a, const Tensor &b,
         stats_.gemm_flops +=
             2.0 * double(m) * double(n) * double(k);
         ++stats_.gemm_calls;
+        stats_.gemm_skip_calls += skip_zero;
     }
 }
 

@@ -40,6 +40,8 @@ struct KernelEngineStats
     double gemm_seconds = 0.0;   ///< Wall seconds inside GEMM variants.
     double gemm_flops = 0.0;     ///< 2*m*n*k per call (skip not credited).
     int64_t gemm_calls = 0;
+    /** GEMM calls whose B held Inf or NaN, so ran the zero-skip body. */
+    int64_t gemm_skip_calls = 0;
     double agg_seconds = 0.0;    ///< Wall seconds inside aggregation.
     double agg_flops = 0.0;      ///< 2*E*dim per forward/backward call.
     uint64_t agg_bytes = 0;      ///< Bytes touched by aggregation.
@@ -68,6 +70,7 @@ struct KernelEngineStats
         gemm_seconds += o.gemm_seconds;
         gemm_flops += o.gemm_flops;
         gemm_calls += o.gemm_calls;
+        gemm_skip_calls += o.gemm_skip_calls;
         agg_seconds += o.agg_seconds;
         agg_flops += o.agg_flops;
         agg_bytes += o.agg_bytes;

@@ -810,6 +810,19 @@ TEST(ComputeKernels, EngineRecordsMeasuredCounters)
     engine.gemm(a, b, c);
     EXPECT_EQ(engine.stats().gemm_calls, 1);
     EXPECT_DOUBLE_EQ(engine.stats().gemm_flops, 2.0 * 32 * 16 * 24);
+    EXPECT_EQ(engine.stats().gemm_skip_calls, 0);
+
+    // Only a B holding Inf or NaN runs the zero-skip select body.
+    Tensor b_inf = b;
+    b_inf.at(3, 5) = std::numeric_limits<float>::infinity();
+    engine.gemm(a, b_inf, c);
+    EXPECT_EQ(engine.stats().gemm_calls, 2);
+    EXPECT_EQ(engine.stats().gemm_skip_calls, 1);
+    // gemm_tb has no zero-skip, whatever B holds.
+    Tensor bt_inf = Tensor::randn(24, 16, rng, 1.0f);
+    bt_inf.at(2, 3) = std::numeric_limits<float>::infinity();
+    engine.gemm_tb(a, bt_inf, c);
+    EXPECT_EQ(engine.stats().gemm_skip_calls, 1);
 
     const sample::LayerBlock blk = small_block();
     const Tensor in = Tensor::randn(6, 8, rng, 1.0f);
@@ -823,6 +836,7 @@ TEST(ComputeKernels, EngineRecordsMeasuredCounters)
 
     engine.reset_stats();
     EXPECT_EQ(engine.stats().gemm_calls, 0);
+    EXPECT_EQ(engine.stats().gemm_skip_calls, 0);
 }
 
 TEST(ComputeKernels, ParallelRowsCoversEveryRowExactlyOnce)
