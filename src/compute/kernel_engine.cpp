@@ -63,18 +63,20 @@ struct Kernels
     AggBwdFn agg_backward_rows;
 };
 
-constexpr Kernels kBaseKernels{
-    base::pack_panels,         base::pack_panels_t,
-    base::gemm_rows<false>,    base::gemm_rows<true>,
-    base::agg_forward_rows,    base::agg_backward_rows};
+constexpr Kernels kBaseKernels{base::pack_panels, base::pack_panels_t,
+                               base::gemm_rows<false>,
+                               base::gemm_rows<true>,
+                               base::agg_forward_rows,
+                               base::agg_backward_rows};
 
 constexpr size_t kPanelAlign = base::kPanelAlign;
 
 #ifdef FASTGL_HAVE_AVX2_VARIANT
-constexpr Kernels kAvx2Kernels{
-    avx2::pack_panels,         avx2::pack_panels_t,
-    avx2::gemm_rows<false>,    avx2::gemm_rows<true>,
-    avx2::agg_forward_rows,    avx2::agg_backward_rows};
+constexpr Kernels kAvx2Kernels{avx2::pack_panels, avx2::pack_panels_t,
+                               avx2::gemm_rows<false>,
+                               avx2::gemm_rows<true>,
+                               avx2::agg_forward_rows,
+                               avx2::agg_backward_rows};
 
 /**
  * Smallest wall time of a few GEMM microkernel runs on an L1-resident
@@ -93,9 +95,7 @@ time_gemm(const Kernels &ks)
 {
     constexpr int64_t d = 48;
     std::vector<float> a(d * d, 1.0f), c(d * d);
-    fastgl::util::ArenaAllocator arena;
-    float *packed = static_cast<float *>(
-        arena.allocate(d * d * sizeof(float), kPanelAlign));
+    alignas(kPanelAlign) float packed[d * d];
     ks.pack_b(a.data(), d, d, packed);
     double best = 1e30;
     for (int round = 0; round < 3; ++round) {
