@@ -257,7 +257,7 @@ main(int argc, char **argv)
     auto hit_rate = [&serving](int gpus, match::ShardMode shard) {
         for (const ServeRow &row : serving) {
             if (row.gpus == gpus && row.shard == shard)
-                return row.stats.feature_hit_rate;
+                return row.stats.residency.features.hit_rate();
         }
         std::fprintf(stderr, "missing serving row @%d\n", gpus);
         std::exit(2);
@@ -334,8 +334,8 @@ main(int argc, char **argv)
             "\"fingerprint\": \"0x%016llx\"}%s\n",
             row.gpus, match::shard_mode_name(row.shard),
             static_cast<long long>(st.served), st.p99_latency * 1e3,
-            st.feature_hit_rate,
-            static_cast<long long>(st.feature_remote_hits),
+            st.residency.features.hit_rate(),
+            static_cast<long long>(st.residency.features.remote_hits),
             static_cast<long long>(st.embedding_remote_hits),
             st.gpu_utilization,
             static_cast<unsigned long long>(st.fingerprint),

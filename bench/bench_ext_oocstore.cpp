@@ -113,15 +113,16 @@ main(int argc, char **argv)
                                   stats.iteration_losses.size() *
                                       sizeof(double));
         row.mean_loss = stats.mean_loss;
-        row.stall_s = stats.storage_stall_seconds;
-        row.hidden_s = stats.storage_hidden_seconds;
+        const store::StoreStats &st = stats.residency.store;
+        row.stall_s = st.stall_seconds;
+        row.hidden_s = st.hidden_seconds;
         row.epoch_s = stats.modelled_epoch_seconds;
         row.compute_s = stats.modelled_compute_seconds;
-        row.block_hit_rate = stats.store.block_hit_rate();
-        row.storage_rows = stats.store.storage_rows;
-        row.demand_blocks = stats.store.demand_blocks;
-        row.demand_fetched = stats.store.demand_fetched;
-        row.prefetch_hits = stats.store.prefetch_hits;
+        row.block_hit_rate = st.block_hit_rate();
+        row.storage_rows = st.storage_rows;
+        row.demand_blocks = st.demand_blocks;
+        row.demand_fetched = st.demand_fetched;
+        row.prefetch_hits = st.prefetch_hits;
         const store::TieredFeatureStore *ts = trainer.residency().store();
         row.host_rows = ts ? ts->host_rows() : ds.graph.num_nodes();
         return row;

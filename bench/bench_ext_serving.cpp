@@ -161,7 +161,7 @@ main(int argc, char **argv)
             static_cast<long long>(st.embedding_hits), st.shed_rate,
             st.p50_latency * 1e3, st.p95_latency * 1e3,
             st.p99_latency * 1e3, st.throughput_rps, st.goodput_rps,
-            st.mean_batch_size, st.feature_hit_rate,
+            st.mean_batch_size, st.residency.features.hit_rate(),
             st.embedding_hit_rate, st.gpu_utilization,
             static_cast<unsigned long long>(st.fingerprint),
             i + 1 < rows.size() ? "," : "");

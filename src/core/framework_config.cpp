@@ -58,9 +58,6 @@ framework_preset(Framework framework)
         cfg.io = IoStrategy::kMatchReorder;
         cfg.compute_plan = compute::ComputePlan::kMemoryAware;
         cfg.cache_on_top_of_match = true;
-        // FastGL also runs the host reference kernels at full width
-        // (deterministic, so this is free accuracy-wise).
-        cfg.compute_threads = 0;
         break;
     }
     return cfg;

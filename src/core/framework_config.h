@@ -66,12 +66,6 @@ struct FrameworkConfig
      */
     bool cache_on_top_of_match = false;
     match::CachePolicy cache_policy = match::CachePolicy::kPresample;
-    /**
-     * Host compute-kernel parallel width (KernelEngine threads): 1 =
-     * sequential, 0 = hardware concurrency. Numeric results are
-     * bit-identical at any width; this only changes wall time.
-     */
-    int compute_threads = 1;
 };
 
 /** The Table 5 preset for @p framework. */

@@ -40,49 +40,6 @@ struct PhaseBreakdown
     }
 };
 
-/**
- * Host compute-kernel counters measured by the KernelEngine, reported
- * next to the modelled ComputeCostModel seconds so modelled-vs-measured
- * drift is visible in every stats dump.
- */
-struct MeasuredCompute
-{
-    double gemm_seconds = 0.0; ///< Wall time inside GEMM kernels.
-    double gemm_flops = 0.0;   ///< 2*m*n*k per GEMM call.
-    double agg_seconds = 0.0;  ///< Wall time inside aggregation kernels.
-    double agg_flops = 0.0;    ///< 2 flops per edge per feature column.
-    uint64_t agg_bytes = 0;    ///< Feature + index traffic of aggregation.
-    int64_t agg_edges = 0;     ///< Edges processed by aggregation.
-
-    double seconds() const { return gemm_seconds + agg_seconds; }
-
-    /** Measured GEMM throughput in GFLOP/s. */
-    double
-    gemm_gflops() const
-    {
-        return gemm_seconds > 0.0 ? gemm_flops / gemm_seconds / 1e9 : 0.0;
-    }
-
-    /** Measured aggregation bytes per edge (paper's traffic metric). */
-    double
-    agg_bytes_per_edge() const
-    {
-        return agg_edges > 0 ? double(agg_bytes) / double(agg_edges) : 0.0;
-    }
-
-    MeasuredCompute &
-    operator+=(const MeasuredCompute &other)
-    {
-        gemm_seconds += other.gemm_seconds;
-        gemm_flops += other.gemm_flops;
-        agg_seconds += other.agg_seconds;
-        agg_flops += other.agg_flops;
-        agg_bytes += other.agg_bytes;
-        agg_edges += other.agg_edges;
-        return *this;
-    }
-};
-
 /** One epoch's modelled outcome plus traffic statistics. */
 struct EpochResult
 {

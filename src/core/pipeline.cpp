@@ -58,7 +58,8 @@ Pipeline::Pipeline(const graph::Dataset &dataset, PipelineOptions opts,
       splitter_(dataset.train_nodes,
                 opts_.batch_size > 0 ? opts_.batch_size
                                      : dataset.batch_size,
-                opts_.seed)
+                opts_.seed),
+      sampler_(*this)
 {
     // Resolve model shape from the dataset when unset.
     if (opts_.model.in_dim == 0)
@@ -69,19 +70,6 @@ Pipeline::Pipeline(const graph::Dataset &dataset, PipelineOptions opts,
         opts_.use_random_walk ? 1
                               : static_cast<int>(opts_.fanouts.size());
     param_bytes_ = model_param_bytes(opts_.model);
-
-    if (opts_.use_random_walk) {
-        sample::RandomWalkOptions walk = opts_.walk;
-        walk.seed = opts_.seed + 101;
-        walk_sampler_ = std::make_unique<sample::RandomWalkSampler>(
-            dataset.graph, walk);
-    } else {
-        sample::NeighborSamplerOptions nopts;
-        nopts.fanouts = opts_.fanouts;
-        nopts.seed = opts_.seed + 101;
-        sampler_ = std::make_unique<sample::NeighborSampler>(
-            dataset.graph, nopts);
-    }
 
     // GNNLab's factored design: one dedicated sampler GPU up to 4 GPUs,
     // two beyond (paper Section 6.4).
@@ -177,10 +165,7 @@ Pipeline::batch_seed(int64_t epoch, int64_t index) const
 sample::SampledSubgraph
 Pipeline::sample_batch(int64_t epoch, int64_t index)
 {
-    const std::span<const graph::NodeId> seeds = splitter_.batch(index);
-    const uint64_t seed = batch_seed(epoch, index);
-    return opts_.use_random_walk ? walk_sampler_->sample(seeds, seed)
-                                 : sampler_->sample(seeds, seed);
+    return sampler_.sample(*this, epoch, index);
 }
 
 Pipeline::ThreadSampler::ThreadSampler(const Pipeline &pipe)

@@ -148,10 +148,11 @@ class Pipeline
     };
 
     /**
-     * Per-thread sampler clone for concurrent producers. Instances are
-     * not shareable across threads, but any instance yields identical
-     * output for the same (epoch, index) because sampling draws from a
-     * per-batch derived RNG stream.
+     * The pipeline's k-hop or random-walk sampler. The pipeline holds
+     * one for sample_batch and each concurrent producer builds its
+     * own: instances are not shareable across threads, but any
+     * instance yields identical output for the same (epoch, index)
+     * because sampling draws from a per-batch derived RNG stream.
      */
     struct ThreadSampler
     {
@@ -224,8 +225,8 @@ class Pipeline
     sim::KernelModel kernels_;
     compute::ComputeCostModel cost_model_;
     sample::BatchSplitter splitter_;
-    std::unique_ptr<sample::NeighborSampler> sampler_;
-    std::unique_ptr<sample::RandomWalkSampler> walk_sampler_;
+    /** sample_batch's sampler; built from opts_ and dataset_ above. */
+    ThreadSampler sampler_;
     std::optional<match::StaticFeatureCache> cache_;
     int64_t cache_rows_ = 0;
     int trainers_ = 1;

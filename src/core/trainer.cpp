@@ -81,8 +81,6 @@ Trainer::Trainer(const graph::Dataset &dataset, TrainerOptions opts)
         }
     }
     residency.partitioner = opts_.partitioner;
-    residency.shard_mode = opts_.shard_mode;
-    residency.remote_policy = opts_.remote_policy;
     residency.storage = opts_.storage;
     // Host-DRAM residency follows the cache's hotness ranking, or
     // degree order when no presample ran.
@@ -171,9 +169,8 @@ Trainer::train_epoch()
             lookahead.push_back(
                 sampler_->sample(splitter_.batch(next_to_sample)));
             if (next_to_sample > b)
-                stats.storage_hidden_seconds +=
-                    residency_->stage_future_batch(
-                        next_to_sample, lookahead.back().nodes);
+                residency_->stage_future_batch(next_to_sample,
+                                               lookahead.back().nodes);
             ++next_to_sample;
         }
         sample::SampledSubgraph sg = std::move(lookahead.front());
@@ -190,7 +187,6 @@ Trainer::train_epoch()
         // feeds back into sampling, gathering or the trajectory.
         const store::ResidencyCharge charge =
             residency_->charge(residency_->home_device(sg.nodes), sg.nodes);
-        stats.storage_stall_seconds += charge.storage_seconds;
         residency_->complete_batch(b);
         if (opts_.profile) {
             const int64_t rows =
@@ -245,23 +241,12 @@ Trainer::train_epoch()
 
     // Measured host-kernel counters for this epoch, reported next to
     // the modelled GPU seconds so drift between the two is visible.
-    const compute::KernelEngineStats &ks = engine_->stats();
-    stats.measured_compute.gemm_seconds = ks.gemm_seconds;
-    stats.measured_compute.gemm_flops = ks.gemm_flops;
-    stats.measured_compute.agg_seconds = ks.agg_seconds;
-    stats.measured_compute.agg_flops = ks.agg_flops;
-    stats.measured_compute.agg_bytes = ks.agg_bytes;
-    stats.measured_compute.agg_edges = ks.agg_edges;
+    stats.measured_compute = engine_->stats();
     stats.gather = gather_engine_->stats();
     stats.num_gpus = std::max(1, opts_.num_gpus);
-    store::ResidencyStats residency = residency_->stats();
-    if (residency_->sharded_cache())
-        stats.shard_totals = residency.features;
-    stats.per_partition = std::move(residency.per_partition);
-    stats.peer_links = std::move(residency.peer_links);
-    stats.store = residency.store;
-    stats.modelled_epoch_seconds =
-        stats.modelled_compute_seconds + stats.storage_stall_seconds;
+    stats.residency = residency_->stats();
+    stats.modelled_epoch_seconds = stats.modelled_compute_seconds +
+                                   stats.residency.store.stall_seconds;
     profiler.set_makespan(prof_compute_free);
     stats.profile = profiler.report();
     return stats;

@@ -16,7 +16,6 @@
 #include "compute/kernel_engine.h"
 #include "compute/loss.h"
 #include "compute/optimizer.h"
-#include "core/phase_stats.h"
 #include "graph/datasets.h"
 #include "match/gather_engine.h"
 #include "prof/profiler.h"
@@ -68,17 +67,11 @@ struct TrainerOptions
      * Modelled devices. With N > 1 and feature_cache_ratio > 0 a
      * match::PartitionedFeatureCache splits the cache's row budget into
      * N shards along a graph partitioning, and each batch is charged
-     * on its first seed's home device (TrainEpochStats::per_partition,
-     * peer_links).
+     * on its first seed's home device (TrainEpochStats::residency).
      */
     int num_gpus = 1;
     /** Partitioner behind the num_gpus > 1 accounting pass. */
     graph::PartitionerKind partitioner = graph::PartitionerKind::kLdg;
-    /** Shard-vs-replicate layout of the accounting cache. */
-    match::ShardMode shard_mode = match::ShardMode::kSharded;
-    /** Remote-row handling of the accounting cache. */
-    match::RemotePolicy remote_policy =
-        match::RemotePolicy::kFetchAndCache;
     /**
      * Out-of-core tier (store::TieredFeatureStore): rows beyond the
      * host-DRAM budget live on a modelled drive, and the epoch loop
@@ -106,7 +99,7 @@ struct TrainEpochStats
     double mean_loss = 0.0;
     double mean_accuracy = 0.0;
     /** Host kernel counters measured during this epoch. */
-    MeasuredCompute measured_compute;
+    compute::KernelEngineStats measured_compute;
     /** GPU-modelled compute seconds for the same batches, for
      *  measured-vs-modelled comparison. */
     double modelled_compute_seconds = 0.0;
@@ -124,21 +117,14 @@ struct TrainEpochStats
     match::GatherStats gather;
     /** Modelled devices of the accounting pass (1 = off). */
     int num_gpus = 1;
-    /** Summed sharded-cache counters (num_gpus > 1 only). */
-    match::PartitionCacheCounters shard_totals;
-    /** Sharded-cache traffic per graph partition (num_gpus > 1). */
-    std::vector<match::PartitionCacheCounters> per_partition;
-    /** Modelled interconnect traffic of remote rows (num_gpus > 1). */
-    std::vector<sim::PeerLinkStats> peer_links;
-    /** Out-of-core tier counters (zero when storage is off). */
-    store::StoreStats store;
-    /** Demand storage-read seconds the gather path stalled on. */
-    double storage_stall_seconds = 0.0;
-    /** Prefetch storage-read seconds overlapped with compute. */
-    double storage_hidden_seconds = 0.0;
-    /** Modelled epoch seconds: compute plus the storage stall. With
-     *  every row in host DRAM this equals modelled_compute_seconds
-     *  exactly — the bench's in-memory baseline. */
+    /** The epoch's feature-residency counters: cache (or shard)
+     *  hits and misses, per-partition and peer-link traffic, and the
+     *  out-of-core tier with its demand stall and prefetch seconds. */
+    store::ResidencyStats residency;
+    /** Modelled epoch seconds: compute plus the storage stall
+     *  (residency.store.stall_seconds). With every row in host DRAM
+     *  this equals modelled_compute_seconds exactly — the bench's
+     *  in-memory baseline. */
     double modelled_epoch_seconds = 0.0;
     /** Per-stage profile (enabled iff TrainerOptions::profile). The
      *  compute stage's busy_seconds equals modelled_compute_seconds

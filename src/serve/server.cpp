@@ -172,8 +172,6 @@ Server::Server(const graph::Dataset &dataset, ServerOptions opts,
     residency.shard_rows = feature_rows_;
     residency.partitioner = opts_.partitioner;
     residency.shard_mode = opts_.shard_mode;
-    residency.remote_policy = opts_.remote_policy;
-    residency.peer = opts_.peer;
     residency.storage = opts_.storage;
     residency_ = std::make_unique<store::FeatureResidency>(
         dataset_.features, dataset_.graph, ranking_, spec_, residency);
@@ -846,16 +844,7 @@ struct Server::Engine
         st.warmed_rows = tl.warmed_rows;
         st.num_gpus = s.num_gpus_;
         st.embedding_remote_hits = tl.embedding_remote_hits;
-        store::ResidencyStats residency = s.residency_->stats();
-        st.feature_hits =
-            residency.features.local_hits + residency.features.remote_hits;
-        st.feature_misses = residency.features.misses;
-        st.feature_hit_rate = residency.features.hit_rate();
-        st.feature_remote_hits = residency.features.remote_hits;
-        st.per_partition = std::move(residency.per_partition);
-        st.peer_links = std::move(residency.peer_links);
-        st.store = residency.store;
-        st.storage_stall_seconds = st.store.stall_seconds;
+        st.residency = s.residency_->stats();
         st.embedding_hit_rate =
             embed_hits + embed_misses
                 ? static_cast<double>(embed_hits) /

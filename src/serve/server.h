@@ -209,7 +209,7 @@ struct ServerOptions
      * the feature cache (match::PartitionedFeatureCache) and one
      * embedding cache per tier, batches route to the device owning
      * their oldest request's first target, and peer-shard rows cross
-     * the interconnect (`peer`) instead of PCIe. Virtual clock only:
+     * the interconnect instead of PCIe. Virtual clock only:
      * bit-identical at any worker count.
      */
     int num_gpus = 1;
@@ -217,11 +217,6 @@ struct ServerOptions
     graph::PartitionerKind partitioner = graph::PartitionerKind::kLdg;
     /** Shard the cache budget or replicate the hottest rows. */
     match::ShardMode shard_mode = match::ShardMode::kSharded;
-    /** Remote-row handling of the sharded feature cache. */
-    match::RemotePolicy remote_policy =
-        match::RemotePolicy::kFetchAndCache;
-    /** Interconnect shape; num_devices is overridden by num_gpus. */
-    sim::PeerTopologyOptions peer;
     /**
      * Out-of-core tier (store::TieredFeatureStore): rows beyond the
      * host-DRAM budget live on a modelled drive, and a batch's IO time
@@ -315,9 +310,6 @@ struct ServingStats
     double p99_latency = 0.0;
     /** Refused fraction of offered load (shed + dropped). */
     double shed_rate = 0.0;
-    int64_t feature_hits = 0;     ///< Layer-0 cache rows not shipped.
-    int64_t feature_misses = 0;
-    double feature_hit_rate = 0.0;
     double embedding_hit_rate = 0.0;
     /** Modelled device busy seconds and busy fraction of makespan. */
     double gpu_busy_seconds = 0.0;
@@ -341,18 +333,12 @@ struct ServingStats
     int64_t warmed_rows = 0;
     /** Modelled devices this run executed on (ServerOptions::num_gpus). */
     int num_gpus = 1;
-    /** Feature rows served from a peer device's shard (num_gpus > 1). */
-    int64_t feature_remote_hits = 0;
     /** Requests answered from a peer device's embedding cache. */
     int64_t embedding_remote_hits = 0;
-    /** Feature-cache traffic per graph partition (num_gpus > 1). */
-    std::vector<match::PartitionCacheCounters> per_partition;
-    /** Cumulative traffic of every active interconnect link. */
-    std::vector<sim::PeerLinkStats> peer_links;
-    /** Out-of-core tier counters (zero when storage is off). */
-    store::StoreStats store;
-    /** Demand storage-read seconds charged into batch IO time. */
-    double storage_stall_seconds = 0.0;
+    /** The run's feature-residency counters: layer-0 cache (or shard)
+     *  hits and misses, per-partition and peer-link traffic, and the
+     *  out-of-core tier with the demand stall charged into batch IO. */
+    store::ResidencyStats residency;
     /** Per-stage profile (enabled iff ServerOptions::profile). */
     prof::ProfileReport profile;
     /** Autoscaler decisions (enabled iff ServerOptions::autoscale). */

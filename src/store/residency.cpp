@@ -18,9 +18,10 @@ FeatureResidency::FeatureResidency(
         if (opts.shard_rows > 0)
             sharded_ = std::make_unique<match::PartitionedFeatureCache>(
                 partitioning_, ranking, opts.shard_rows, opts.num_devices,
-                opts.shard_mode, opts.remote_policy);
-        opts.peer.num_devices = opts.num_devices;
-        topo_ = std::make_unique<sim::PeerTopology>(spec_, opts.peer);
+                opts.shard_mode, match::RemotePolicy::kFetchAndCache);
+        sim::PeerTopologyOptions peer;
+        peer.num_devices = opts.num_devices;
+        topo_ = std::make_unique<sim::PeerTopology>(spec_, peer);
     }
     // The store's layout reuses the device partitioning when one
     // exists, and rows in the static cache never reach the drive.

@@ -8,10 +8,12 @@
  * (store::TieredFeatureStore; a row a peer device owns then crosses
  * the interconnect too).
  *
- * core::Trainer and serve::Server each hold one and charge every batch
- * through charge(); what differs between them (hotness ranking,
- * per-device shard budget, GPU spec, peer options) is constructor
- * input. Accounting only, and single-writer like the caches it owns.
+ * core::Trainer and serve::Server each hold one, charge every batch
+ * through charge() and report stats() as their run's `residency`; what
+ * differs between them (hotness ranking, per-device shard budget, GPU
+ * spec) is constructor input. Shards fetch-and-cache remote rows, and
+ * the peer links are the default sim::PeerTopology over num_devices.
+ * Accounting only, and single-writer like the caches it owns.
  */
 #pragma once
 
@@ -40,10 +42,7 @@ struct ResidencyOptions
     int64_t shard_rows = 0; ///< Per-device shard rows; 0 = no shards.
     graph::PartitionerKind partitioner = graph::PartitionerKind::kLdg;
     match::ShardMode shard_mode = match::ShardMode::kSharded;
-    match::RemotePolicy remote_policy =
-        match::RemotePolicy::kFetchAndCache;
-    sim::PeerTopologyOptions peer; ///< num_devices is overridden.
-    TieredStoreOptions storage;    ///< kNone builds no store.
+    TieredStoreOptions storage; ///< kNone builds no store.
 };
 
 /** Where one batch's rows were found and what moving them cost. */
@@ -65,8 +64,11 @@ struct ResidencyStats
 {
     /** Shard totals, or the static cache's local_hits and misses. */
     match::PartitionCacheCounters features;
+    /** Shard traffic per graph partition (shards only). */
     std::vector<match::PartitionCacheCounters> per_partition;
+    /** Every interconnect link that carried traffic (> 1 device). */
     std::vector<sim::PeerLinkStats> peer_links;
+    /** Out-of-core tier counters (zero when storage is off). */
     StoreStats store;
 };
 
@@ -117,12 +119,14 @@ class FeatureResidency
 
     bool storage_active() const { return store_ && store_->active(); }
 
-    /** Prefetch a FUTURE batch's blocks; returns the hidden seconds. */
-    double
+    /** Prefetch a FUTURE batch's blocks; the read time lands in
+     *  stats().store.hidden_seconds. */
+    void
     stage_future_batch(int64_t batch_id,
                        std::span<const graph::NodeId> nodes)
     {
-        return store_ ? store_->stage_future_batch(batch_id, nodes) : 0.0;
+        if (store_)
+            store_->stage_future_batch(batch_id, nodes);
     }
 
     /** Retire @p batch_id from the prefetch window. */

@@ -156,12 +156,12 @@ TieredFeatureStore::charge_miss_rows(
     return charge_rows(nodes, /*check_gpu_cache=*/false);
 }
 
-double
+void
 TieredFeatureStore::stage_future_batch(
     int64_t batch_id, std::span<const graph::NodeId> nodes)
 {
     if (!active() || opts_.prefetch_depth <= 0)
-        return 0.0;
+        return;
     blocks_.clear();
     for (graph::NodeId node : nodes) {
         if (gpu_cache_ && gpu_cache_->contains(node))
@@ -172,9 +172,7 @@ TieredFeatureStore::stage_future_batch(
     }
     const std::vector<int64_t> issue =
         prefetcher_->register_batch(batch_id, blocks_);
-    const double hidden = scheduler_->submit(issue, true);
-    tallies_.hidden_seconds += hidden;
-    return hidden;
+    tallies_.hidden_seconds += scheduler_->submit(issue, true);
 }
 
 void

@@ -154,11 +154,11 @@ class TieredFeatureStore
 
     /**
      * Register FUTURE batch @p batch_id's node set with the
-     * prefetcher and read its uncovered blocks as overlapped time.
-     * @return the hidden (overlapped) read seconds.
+     * prefetcher and read its uncovered blocks as overlapped time,
+     * which adds to stats().hidden_seconds.
      */
-    double stage_future_batch(int64_t batch_id,
-                              std::span<const graph::NodeId> nodes);
+    void stage_future_batch(int64_t batch_id,
+                            std::span<const graph::NodeId> nodes);
 
     /** Retire @p batch_id from the prefetch window (no-op when the
      *  batch was never staged). */

@@ -390,11 +390,12 @@ TEST(MultiGpuServe, FingerprintStableAcrossWorkerCounts)
             first = st.fingerprint;
             // The shards really split traffic: both remote feature
             // hits and multiple partitions' counters are populated.
-            EXPECT_GT(st.feature_remote_hits, 0);
-            ASSERT_EQ(st.per_partition.size(), 2u);
-            EXPECT_GT(st.per_partition[0].lookups(), 0);
-            EXPECT_GT(st.per_partition[1].lookups(), 0);
-            EXPECT_FALSE(st.peer_links.empty());
+            const store::ResidencyStats &r = st.residency;
+            EXPECT_GT(r.features.remote_hits, 0);
+            ASSERT_EQ(r.per_partition.size(), 2u);
+            EXPECT_GT(r.per_partition[0].lookups(), 0);
+            EXPECT_GT(r.per_partition[1].lookups(), 0);
+            EXPECT_FALSE(r.peer_links.empty());
         } else {
             EXPECT_EQ(st.fingerprint, first)
                 << "threads=" << threads;
@@ -447,8 +448,8 @@ TEST(MultiGpuTrainer, AccountingNeverMovesTheTrainingTrajectory)
         EXPECT_EQ(sa.iteration_losses[i], sb.iteration_losses[i]);
     EXPECT_EQ(sa.num_gpus, 1);
     EXPECT_EQ(sb.num_gpus, 2);
-    EXPECT_GT(sb.shard_totals.lookups(), 0);
-    EXPECT_EQ(sb.per_partition.size(), 2u);
+    EXPECT_GT(sb.residency.features.lookups(), 0);
+    EXPECT_EQ(sb.residency.per_partition.size(), 2u);
     EXPECT_NE(b.residency().sharded_cache(), nullptr);
     EXPECT_EQ(a.residency().sharded_cache(), nullptr);
 }

@@ -398,12 +398,12 @@ TEST(OocStore, TrainerLossesBitIdenticalWithStorageOnOff)
     EXPECT_EQ(got.mean_accuracy, want.mean_accuracy);
 
     // ... but the store did classify rows and charge the drive.
-    EXPECT_GT(got.store.storage_rows, 0);
-    EXPECT_GT(got.store.demand_blocks, 0);
-    EXPECT_GT(got.storage_hidden_seconds, 0.0);
+    const store::StoreStats &st = got.residency.store;
+    EXPECT_GT(st.storage_rows, 0);
+    EXPECT_GT(st.demand_blocks, 0);
+    EXPECT_GT(st.hidden_seconds, 0.0);
     EXPECT_DOUBLE_EQ(got.modelled_epoch_seconds,
-                     got.modelled_compute_seconds +
-                         got.storage_stall_seconds);
+                     got.modelled_compute_seconds + st.stall_seconds);
     // Fully-in-memory runs reproduce the in-memory epoch time exactly.
     EXPECT_DOUBLE_EQ(want.modelled_epoch_seconds,
                      want.modelled_compute_seconds);
@@ -413,7 +413,6 @@ TEST(OocStore, VirtualClockDeterministicAcrossThreadWidths)
 {
     const graph::Dataset ds = tiny_reddit();
     store::StoreStats first;
-    double first_stall = -1.0, first_hidden = -1.0;
     for (const int threads : {1, 4, 8}) {
         core::TrainerOptions opts = ooc_trainer_opts();
         opts.compute_threads = threads;
@@ -421,21 +420,19 @@ TEST(OocStore, VirtualClockDeterministicAcrossThreadWidths)
         opts.storage.storage = store::StorageKind::kNvme;
         opts.storage.host_mem_fraction = 0.25;
         core::Trainer trainer(ds, opts);
-        const auto stats = trainer.train_epoch();
-        if (first_stall < 0.0) {
-            first = stats.store;
-            first_stall = stats.storage_stall_seconds;
-            first_hidden = stats.storage_hidden_seconds;
+        const store::StoreStats st = trainer.train_epoch().residency.store;
+        if (threads == 1) {
+            first = st;
             continue;
         }
-        EXPECT_EQ(stats.store.lookup_rows, first.lookup_rows);
-        EXPECT_EQ(stats.store.storage_rows, first.storage_rows);
-        EXPECT_EQ(stats.store.demand_blocks, first.demand_blocks);
-        EXPECT_EQ(stats.store.demand_staged, first.demand_staged);
-        EXPECT_EQ(stats.store.prefetch_hits, first.prefetch_hits);
-        EXPECT_EQ(stats.storage_stall_seconds, first_stall)
+        EXPECT_EQ(st.lookup_rows, first.lookup_rows);
+        EXPECT_EQ(st.storage_rows, first.storage_rows);
+        EXPECT_EQ(st.demand_blocks, first.demand_blocks);
+        EXPECT_EQ(st.demand_staged, first.demand_staged);
+        EXPECT_EQ(st.prefetch_hits, first.prefetch_hits);
+        EXPECT_EQ(st.stall_seconds, first.stall_seconds)
             << "threads=" << threads;
-        EXPECT_EQ(stats.storage_hidden_seconds, first_hidden)
+        EXPECT_EQ(st.hidden_seconds, first.hidden_seconds)
             << "threads=" << threads;
     }
 }
@@ -456,15 +453,14 @@ TEST(OocStore, GoldenOutOfCoreEpochHash)
     uint64_t h = fnv_bytes(stats.iteration_losses.data(),
                            stats.iteration_losses.size() *
                                sizeof(double));
+    const store::StoreStats &st = stats.residency.store;
     const int64_t counters[] = {
-        stats.store.lookup_rows,   stats.store.gpu_cache_rows,
-        stats.store.host_rows,     stats.store.storage_rows,
-        stats.store.demand_blocks, stats.store.demand_staged,
-        stats.store.demand_fetched, stats.store.prefetch_hits,
+        st.lookup_rows,   st.gpu_cache_rows, st.host_rows,
+        st.storage_rows,  st.demand_blocks,  st.demand_staged,
+        st.demand_fetched, st.prefetch_hits,
     };
     h ^= fnv_bytes(counters, sizeof(counters));
-    const double seconds[] = {stats.storage_stall_seconds,
-                              stats.storage_hidden_seconds};
+    const double seconds[] = {st.stall_seconds, st.hidden_seconds};
     h ^= fnv_bytes(seconds, sizeof(seconds));
     EXPECT_EQ(h, kGoldenOocEpochHash);
 }

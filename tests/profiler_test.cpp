@@ -292,11 +292,11 @@ TEST(ProfilerTest, TrainerGatherStageChargesTheFeatureResidency)
     core::Trainer sharded(ds, opts);
     const auto multi = sharded.train_epoch();
     double peer_seconds = 0.0;
-    for (const sim::PeerLinkStats &link : multi.peer_links)
+    for (const sim::PeerLinkStats &link : multi.residency.peer_links)
         peer_seconds += link.seconds;
     ASSERT_GT(peer_seconds, 0.0);
     EXPECT_NEAR(gather_busy(multi),
-                expected(multi.shard_totals.misses, peer_seconds),
+                expected(multi.residency.features.misses, peer_seconds),
                 1e-9 * gather_busy(multi));
 }
 

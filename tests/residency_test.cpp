@@ -63,16 +63,13 @@ fold(uint64_t h, const match::PartitionCacheCounters &c)
 
 /** Shared tail of both digests: partitions, peer links, store. */
 uint64_t
-fold_residency(uint64_t h,
-               const std::vector<match::PartitionCacheCounters> &parts,
-               const std::vector<sim::PeerLinkStats> &links,
-               const store::StoreStats &st)
+fold_residency(uint64_t h, const store::ResidencyStats &r)
 {
-    h = fold(h, static_cast<int64_t>(parts.size()));
-    for (const match::PartitionCacheCounters &c : parts)
+    h = fold(h, static_cast<int64_t>(r.per_partition.size()));
+    for (const match::PartitionCacheCounters &c : r.per_partition)
         h = fold(h, c);
-    h = fold(h, static_cast<int64_t>(links.size()));
-    for (const sim::PeerLinkStats &l : links) {
+    h = fold(h, static_cast<int64_t>(r.peer_links.size()));
+    for (const sim::PeerLinkStats &l : r.peer_links) {
         h = fold(h, static_cast<int64_t>(l.src));
         h = fold(h, static_cast<int64_t>(l.dst));
         h = fold(h, static_cast<int64_t>(l.kind));
@@ -80,6 +77,7 @@ fold_residency(uint64_t h,
         h = fold(h, l.transfers);
         h = fold(h, l.seconds);
     }
+    const store::StoreStats &st = r.store;
     const int64_t counters[] = {
         st.lookup_rows,    st.gpu_cache_rows, st.host_rows,
         st.storage_rows,   st.demand_blocks,  st.demand_staged,
@@ -132,11 +130,12 @@ trainer_digest(int num_gpus, int width)
     core::Trainer trainer(train_reddit(), opts);
     const core::TrainEpochStats s = trainer.train_epoch();
     // Every tier really carries traffic, so the digest pins each one.
-    EXPECT_GT(s.store.storage_rows, 0);
+    const store::ResidencyStats &r = s.residency;
+    EXPECT_GT(r.store.storage_rows, 0);
     EXPECT_GT(s.gather.cache_hits, 0);
     if (num_gpus > 1) {
-        EXPECT_GT(s.shard_totals.remote_hits, 0);
-        EXPECT_FALSE(s.peer_links.empty());
+        EXPECT_GT(r.features.remote_hits, 0);
+        EXPECT_FALSE(r.peer_links.empty());
     }
 
     uint64_t h = util::kFnvOffset;
@@ -144,10 +143,13 @@ trainer_digest(int num_gpus, int width)
         h = fold(h, loss);
     h = fold(h, s.gather.cache_hits);
     h = fold(h, s.gather.cache_misses);
-    h = fold(h, s.shard_totals);
-    h = fold_residency(h, s.per_partition, s.peer_links, s.store);
-    h = fold(h, s.storage_stall_seconds);
-    h = fold(h, s.storage_hidden_seconds);
+    // The digest was pinned when the trainer reported shard totals
+    // only, so one GPU folds zero counters there.
+    h = fold(h, num_gpus > 1 ? r.features
+                             : match::PartitionCacheCounters{});
+    h = fold_residency(h, r);
+    h = fold(h, r.store.stall_seconds);
+    h = fold(h, r.store.hidden_seconds);
     return fold(h, s.modelled_epoch_seconds);
 }
 
@@ -170,21 +172,25 @@ server_digest(int num_gpus, int width)
     serve::LoadGenerator gen(server.popularity(), lopts);
     server.serve(gen.generate());
     const serve::ServingStats &s = server.last_stats();
-    EXPECT_GT(s.store.storage_rows, 0);
-    EXPECT_GT(s.feature_hits, 0);
+    const store::ResidencyStats &r = s.residency;
+    const match::PartitionCacheCounters &f = r.features;
+    EXPECT_GT(r.store.storage_rows, 0);
+    EXPECT_GT(f.local_hits + f.remote_hits, 0);
     if (num_gpus > 1) {
-        EXPECT_GT(s.feature_remote_hits, 0);
-        EXPECT_FALSE(s.peer_links.empty());
+        EXPECT_GT(f.remote_hits, 0);
+        EXPECT_FALSE(r.peer_links.empty());
     }
 
+    // Folded in the order of the per-field report the digest was
+    // pinned on: hits, misses, hit rate, remote hits.
     uint64_t h = fold(util::kFnvOffset, static_cast<int64_t>(
                                             s.fingerprint));
-    h = fold(h, s.feature_hits);
-    h = fold(h, s.feature_misses);
-    h = fold(h, s.feature_hit_rate);
-    h = fold(h, s.feature_remote_hits);
-    h = fold_residency(h, s.per_partition, s.peer_links, s.store);
-    return fold(h, s.storage_stall_seconds);
+    h = fold(h, f.local_hits + f.remote_hits);
+    h = fold(h, f.misses);
+    h = fold(h, f.hit_rate());
+    h = fold(h, f.remote_hits);
+    h = fold_residency(h, r);
+    return fold(h, r.store.stall_seconds);
 }
 
 TEST(OocStoreGolden, TrainerCachedNvmeIsPinnedAtAnyWidth)
@@ -213,6 +219,31 @@ TEST(MultiGpuGolden, ServerShardedNvmeIsPinnedAtAnyWidth)
     for (const int width : {1, 4, 8})
         EXPECT_EQ(server_digest(2, width), kGoldenServerShardedNvme)
             << "width=" << width;
+}
+
+TEST(OocStoreResidency, OneGpuTrainerReportMatchesGatherCounters)
+{
+    // The report's cache counters and the gather engine's fused
+    // cache tally count the same static-cache lookups independently.
+    for (const store::StorageKind kind :
+         {store::StorageKind::kNone, store::StorageKind::kNvme}) {
+        core::TrainerOptions opts;
+        opts.fanouts = {4, 4};
+        opts.max_batches = 6;
+        opts.batch_size = 32;
+        opts.feature_cache_ratio = 0.2;
+        opts.storage.storage = kind;
+        opts.storage.host_mem_fraction = 0.25;
+        core::Trainer trainer(train_reddit(), opts);
+        const core::TrainEpochStats s = trainer.train_epoch();
+        const match::PartitionCacheCounters &f = s.residency.features;
+        EXPECT_GT(f.local_hits, 0);
+        EXPECT_EQ(f.local_hits, s.gather.cache_hits)
+            << store::storage_kind_name(kind);
+        EXPECT_EQ(f.misses, s.gather.cache_misses)
+            << store::storage_kind_name(kind);
+        EXPECT_EQ(f.remote_hits, 0);
+    }
 }
 
 // ------------------------------------------------- charge() unit cases

@@ -291,8 +291,11 @@ expect_identical_serving(const serve::ServingStats &a,
     EXPECT_EQ(a.makespan, b.makespan);
     EXPECT_EQ(a.p50_latency, b.p50_latency);
     EXPECT_EQ(a.p99_latency, b.p99_latency);
-    EXPECT_EQ(a.feature_hits, b.feature_hits);
-    EXPECT_EQ(a.feature_misses, b.feature_misses);
+    const match::PartitionCacheCounters &fa = a.residency.features;
+    const match::PartitionCacheCounters &fb = b.residency.features;
+    EXPECT_EQ(fa.local_hits, fb.local_hits);
+    EXPECT_EQ(fa.remote_hits, fb.remote_hits);
+    EXPECT_EQ(fa.misses, fb.misses);
     EXPECT_EQ(a.gpu_busy_seconds, b.gpu_busy_seconds);
 }
 
@@ -487,8 +490,8 @@ TEST(Serve, FeatureCacheReducesPcieTraffic)
     server.serve(trace);
     const serve::ServingStats st = server.last_stats();
     EXPECT_GT(server.feature_cache_rows(), 0);
-    EXPECT_GT(st.feature_hits, 0);
-    EXPECT_GT(st.feature_hit_rate, 0.0);
+    EXPECT_GT(st.residency.features.local_hits, 0);
+    EXPECT_GT(st.residency.features.hit_rate(), 0.0);
 }
 
 // ---------------------------------------------------------------------

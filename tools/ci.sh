@@ -202,15 +202,20 @@ if [[ "${FASTGL_NO_PERF:-0}" != "1" ]]; then
         | tee BENCH_traffic.json
     bench_gate BENCH_traffic.json '"ok": true'
 
-    # Host-clock benchmark: the report self-test, then a short traced
-    # train run. The run exits non-zero unless its witnesses hold: the
-    # traced replay, whose layers all compute their full input
-    # gradient, must reproduce train_epoch's losses bit for bit.
-    # Timings are printed, not gated.
+    # Host-clock benchmark: the report self-test, then short traced
+    # train and serve-logits runs. Each run exits non-zero unless its
+    # witnesses hold. The traced train replay, whose layers all
+    # compute their full input gradient, must reproduce train_epoch's
+    # losses bit for bit. serve-logits must return the same
+    # fingerprint from every call and no kUnprocessed response, and
+    # its replay's predictions must equal the server's. Timings are
+    # printed, not gated.
     echo "==> host-clock benchmark smoke (perfbench)"
     python3 perfbench/test_report.py
     python3 perfbench/run.py --workload train --seed 1 --seconds 5 \
         --trace 1
+    python3 perfbench/run.py --workload serve-logits --seed 1 \
+        --seconds 5 --trace 1
 fi
 
 echo "==> CI OK"

@@ -18,11 +18,15 @@
  *   fastgl_cli info  --dataset mag
  */
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
+#include <type_traits>
 
 #include "fastgl.h"
 
@@ -66,7 +70,8 @@ class Args
     get_int(const std::string &key, int64_t fallback) const
     {
         auto it = values_.find(key);
-        return it == values_.end() ? fallback : std::stoll(it->second);
+        return it == values_.end() ? fallback
+                                   : parse<int64_t>(key, it->second);
     }
 
     /** get_int, failing fast (naming the flag) below @p min or, when
@@ -86,7 +91,38 @@ class Args
         return value;
     }
 
+    /** A finite real >= 0 (failing fast, naming the flag); nullopt
+     *  when the flag is absent. */
+    std::optional<double>
+    get_nonnegative_real(const std::string &key) const
+    {
+        auto it = values_.find(key);
+        if (it == values_.end())
+            return std::nullopt;
+        const double value = parse<double>(key, it->second);
+        if (!std::isfinite(value) || value < 0.0)
+            util::fatal("--" + key + " must be a finite number >= 0 (got " +
+                        it->second + ")");
+        return value;
+    }
+
   private:
+    /** All of @p text as a T; anything else is fatal, naming --key. */
+    template <typename T>
+    static T
+    parse(const std::string &key, const std::string &text)
+    {
+        T value{};
+        const char *end = text.data() + text.size();
+        const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+        if (ec != std::errc() || ptr != end)
+            util::fatal("--" + key + " must be " +
+                        (std::is_integral_v<T> ? "an integer"
+                                               : "a number") +
+                        " (got '" + text + "')");
+        return value;
+    }
+
     std::map<std::string, std::string> values_;
 };
 
@@ -134,32 +170,6 @@ parse_partitioner(const std::string &name)
     util::fatal("unknown partitioner '" + name + "' (bfs|ldg)");
 }
 
-/** Shared epoch/serve summary of partition-sharded cache traffic. */
-void
-print_partition_traffic(
-    const std::vector<match::PartitionCacheCounters> &per_partition,
-    const std::vector<sim::PeerLinkStats> &peer_links)
-{
-    for (size_t p = 0; p < per_partition.size(); ++p) {
-        const match::PartitionCacheCounters &c = per_partition[p];
-        if (c.lookups() == 0)
-            continue;
-        std::printf("  partition %zu: %lld local + %lld remote hits, "
-                    "%lld misses (%.1f%% hit)\n",
-                    p, static_cast<long long>(c.local_hits),
-                    static_cast<long long>(c.remote_hits),
-                    static_cast<long long>(c.misses),
-                    100.0 * c.hit_rate());
-    }
-    for (const sim::PeerLinkStats &link : peer_links)
-        std::printf("  link %d->%d (%s): %s in %lld transfers, %s\n",
-                    link.src, link.dst,
-                    sim::peer_link_kind_name(link.kind),
-                    util::human_bytes(double(link.bytes)).c_str(),
-                    static_cast<long long>(link.transfers),
-                    util::human_seconds(link.seconds).c_str());
-}
-
 store::StorageKind
 parse_storage(const std::string &name)
 {
@@ -174,40 +184,68 @@ parse_storage(const std::string &name)
 
 /**
  * Shared --storage / --host-mem-gb / --prefetch-depth / --relayout
- * parsing for the train and serve modes (out-of-core tier).
+ * parsing for the train and serve modes (out-of-core tier). Runs
+ * before the replica load of dataset @p id, so a bad value fails fast.
  */
 store::TieredStoreOptions
-parse_storage_opts(const Args &args, const graph::Dataset &ds)
+parse_storage_opts(const Args &args, graph::DatasetId id)
 {
     store::TieredStoreOptions storage;
     storage.storage = parse_storage(args.get("storage", "none"));
-    const std::string gb = args.get("host-mem-gb", "");
-    if (!gb.empty()) {
-        const double bytes = std::stod(gb) * double(uint64_t(1) << 30);
-        storage.host_mem_rows = std::max<int64_t>(
-            0, int64_t(bytes / double(ds.features.row_bytes())));
+    if (const std::optional<double> gb =
+            args.get_nonnegative_real("host-mem-gb")) {
+        // Replica rows are as wide as the full-scale dataset's
+        // (graph::load_replica). A budget of 1e18 rows or more already
+        // holds every row, so capping there keeps the cast in range.
+        const double row_bytes =
+            double(graph::full_scale_spec(id).feature_dim) *
+            sizeof(float);
+        storage.host_mem_rows = static_cast<int64_t>(std::min(
+            1e18, *gb * double(uint64_t(1) << 30) / row_bytes));
     }
-    storage.prefetch_depth =
-        int(args.get_int("prefetch-depth", storage.prefetch_depth));
+    storage.prefetch_depth = int(args.get_int_at_least(
+        "prefetch-depth", storage.prefetch_depth, 0,
+        std::numeric_limits<int>::max()));
     storage.relayout = args.has("relayout");
     return storage;
 }
 
-/** Shared one-line out-of-core summary for train/serve output. */
+/**
+ * Shared train/serve summary of a run's feature-residency report:
+ * shard traffic per partition, the peer links, and the out-of-core
+ * tier once it classified rows (@p storage names its drive).
+ */
 void
-print_store_summary(const store::TieredFeatureStore *ts)
+print_residency(const store::ResidencyStats &r,
+                const store::TieredStoreOptions &storage)
 {
-    if (ts == nullptr || !ts->active())
+    for (size_t p = 0; p < r.per_partition.size(); ++p) {
+        const match::PartitionCacheCounters &c = r.per_partition[p];
+        if (c.lookups() == 0)
+            continue;
+        std::printf("  partition %zu: %lld local + %lld remote hits, "
+                    "%lld misses (%.1f%% hit)\n",
+                    p, static_cast<long long>(c.local_hits),
+                    static_cast<long long>(c.remote_hits),
+                    static_cast<long long>(c.misses),
+                    100.0 * c.hit_rate());
+    }
+    for (const sim::PeerLinkStats &link : r.peer_links)
+        std::printf("  link %d->%d (%s): %s in %lld transfers, %s\n",
+                    link.src, link.dst,
+                    sim::peer_link_kind_name(link.kind),
+                    util::human_bytes(double(link.bytes)).c_str(),
+                    static_cast<long long>(link.transfers),
+                    util::human_seconds(link.seconds).c_str());
+    const store::StoreStats &s = r.store;
+    if (s.lookup_rows == 0)
         return;
-    const store::StoreStats s = ts->stats();
     std::printf(
-        "  storage %s%s: %lld/%lld rows in host DRAM | %lld storage "
-        "rows -> %lld blocks (%.1f%% staged, %lld prefetch hits) | "
-        "stall %s, hidden %s\n",
-        store::storage_kind_name(ts->options().storage),
-        ts->options().relayout ? "+relayout" : "",
-        static_cast<long long>(ts->host_rows()),
-        static_cast<long long>(ts->layout().num_nodes()),
+        "  storage %s%s: %lld host + %lld storage rows -> %lld blocks "
+        "(%.1f%% staged, %lld prefetch hits) | stall %s, hidden %s\n",
+        store::storage_kind_name(storage.storage),
+        storage.relayout ? "+relayout" : "",
+        static_cast<long long>(s.host_rows),
         static_cast<long long>(s.storage_rows),
         static_cast<long long>(s.demand_blocks),
         100.0 * s.block_hit_rate(),
@@ -295,7 +333,7 @@ usage_train()
         "  --lr-milli N         learning rate in thousandths (3)\n"
         "  --compute-threads N  kernel-engine width; 0 = every\n"
         "                       hardware thread; results are\n"
-        "                       bit-identical at any width (preset)\n"
+        "                       bit-identical at any width (0)\n"
         "  --gpus N             modelled devices for partition-sharded\n"
         "                       cache accounting; 1 = off (1)\n"
         "  --partitioner P      bfs|ldg shard partitioner (ldg)\n"
@@ -459,17 +497,14 @@ run_train(const Args &args)
 {
     // Reject arguments the trainer would otherwise coerce or die on,
     // before the replica load. 0 keeps its documented meaning for
-    // --batch, --max-batches and --compute-threads.
+    // --batch, --max-batches and --compute-threads (every hardware
+    // thread; results are bit-identical at any width).
     core::TrainerOptions opts;
     const int64_t scale_pct = args.get_int_at_least("scale-pct", 50, 1);
     opts.batch_size = args.get_int_at_least("batch", 0, 0);
     opts.max_batches = args.get_int_at_least("max-batches", 10, 0);
-    // The FastGL preset's host-kernel width (bit-identical results at
-    // any value); override with --compute-threads.
-    opts.compute_threads = int(args.get_int_at_least(
-        "compute-threads",
-        core::framework_preset(core::Framework::kFastGL).compute_threads,
-        0));
+    opts.compute_threads =
+        int(args.get_int_at_least("compute-threads", 0, 0));
     opts.num_gpus = int(args.get_int_at_least("gpus", 1, 1));
     // The shards need a cache budget: default one in when --gpus asks
     // for the accounting pass but no --cache-pct was given.
@@ -477,25 +512,25 @@ run_train(const Args &args)
         double(args.get_int_at_least(
             "cache-pct", opts.num_gpus > 1 ? 20 : 0, 0, 100)) /
         100.0;
-
-    graph::ReplicaOptions ropts;
-    ropts.size_factor = double(scale_pct) / 100.0;
-    const graph::Dataset ds = graph::load_replica(
-        parse_dataset(args.get("dataset", "products")), ropts);
-
+    const graph::DatasetId dataset =
+        parse_dataset(args.get("dataset", "products"));
     opts.model.type = parse_model(args.get("model", "gcn"));
     opts.learning_rate =
         float(args.get_int("lr-milli", 3)) / 1000.0f;
     opts.seed = uint64_t(args.get_int("seed", 3407));
     opts.partitioner = parse_partitioner(args.get("partitioner", "ldg"));
-    opts.storage = parse_storage_opts(args, ds);
+    opts.storage = parse_storage_opts(args, dataset);
     const std::string profile_json = args.get("profile-json", "");
     opts.profile = args.has("profile") || !profile_json.empty();
     const std::string warmup_path = args.get("save-warmup", "");
     opts.record_node_frequencies = !warmup_path.empty();
+    const int epochs = int(args.get_int("epochs", 3));
+
+    graph::ReplicaOptions ropts;
+    ropts.size_factor = double(scale_pct) / 100.0;
+    const graph::Dataset ds = graph::load_replica(dataset, ropts);
     core::Trainer trainer(ds, opts);
 
-    const int epochs = int(args.get_int("epochs", 3));
     std::printf("training %s on %s (%d epochs%s)\n",
                 compute::model_type_name(opts.model.type),
                 ds.name.c_str(), epochs,
@@ -506,31 +541,28 @@ run_train(const Args &args)
         const auto stats = trainer.train_epoch();
         if (opts.profile)
             last_profile = stats.profile;
+        const compute::KernelEngineStats &kernels = stats.measured_compute;
         std::printf("epoch %d: loss %.4f, accuracy %.3f | host compute "
                     "%.3fs (%.1f GFLOP/s gemm, %.0f B/edge agg), "
                     "modelled GPU %.3fs\n",
                     e, stats.mean_loss, stats.mean_accuracy,
-                    stats.measured_compute.seconds(),
-                    stats.measured_compute.gemm_gflops(),
-                    stats.measured_compute.agg_bytes_per_edge(),
+                    kernels.gemm_seconds + kernels.agg_seconds,
+                    kernels.gemm_gflops(), kernels.agg_bytes_per_edge(),
                     stats.modelled_compute_seconds);
-        if (stats.num_gpus > 1) {
+        const store::ResidencyStats &residency = stats.residency;
+        if (stats.num_gpus > 1)
             std::printf("  %d modelled devices (%s): %lld local + "
                         "%lld remote hits, %lld misses (%.1f%% hit)\n",
                         stats.num_gpus,
                         graph::partitioner_name(opts.partitioner),
                         static_cast<long long>(
-                            stats.shard_totals.local_hits),
+                            residency.features.local_hits),
                         static_cast<long long>(
-                            stats.shard_totals.remote_hits),
-                        static_cast<long long>(
-                            stats.shard_totals.misses),
-                        100.0 * stats.shard_totals.hit_rate());
-            print_partition_traffic(stats.per_partition,
-                                    stats.peer_links);
-        }
-        if (trainer.residency().storage_active()) {
-            print_store_summary(trainer.residency().store());
+                            residency.features.remote_hits),
+                        static_cast<long long>(residency.features.misses),
+                        100.0 * residency.features.hit_rate());
+        print_residency(residency, opts.storage);
+        if (residency.store.lookup_rows > 0)
             std::printf("  modelled epoch %s (compute %s + storage "
                         "stall %s)\n",
                         util::human_seconds(stats.modelled_epoch_seconds)
@@ -538,9 +570,8 @@ run_train(const Args &args)
                         util::human_seconds(
                             stats.modelled_compute_seconds)
                             .c_str(),
-                        util::human_seconds(stats.storage_stall_seconds)
+                        util::human_seconds(residency.store.stall_seconds)
                             .c_str());
-        }
         if (opts.record_node_frequencies) {
             if (warmup.frequencies.empty())
                 warmup.frequencies = stats.node_frequencies;
@@ -571,8 +602,8 @@ run_train(const Args &args)
 int
 run_serve(const Args &args)
 {
-    // Reject workload arguments the server would otherwise coerce or
-    // die on, before the replica load.
+    // Read every flag before the replica load, rejecting workload
+    // arguments the server would otherwise coerce or die on.
     const int64_t rate = args.get_int_at_least("rate", 20000, 1);
     const int64_t batch_max = args.get_int_at_least("batch-max", 32, 1);
     const int64_t requests = args.get_int("requests", 2048);
@@ -588,12 +619,9 @@ run_serve(const Args &args)
     sopts.feature_cache_ratio =
         double(args.get_int_at_least("cache-pct", 20, 0, 100)) / 100.0;
     sopts.num_gpus = int(args.get_int_at_least("gpus", 1, 1));
-
-    graph::ReplicaOptions ropts;
-    ropts.materialize_features = false;
-    ropts.size_factor = double(args.get_int("scale-pct", 100)) / 100.0;
-    const graph::Dataset ds = graph::load_replica(
-        parse_dataset(args.get("dataset", "products")), ropts);
+    const graph::DatasetId dataset =
+        parse_dataset(args.get("dataset", "products"));
+    const int64_t scale_pct = args.get_int("scale-pct", 100);
 
     sopts.worker_threads = int(args.get_int("threads", 4));
     sopts.model.type = parse_model(args.get("model", "gcn"));
@@ -613,7 +641,7 @@ run_serve(const Args &args)
         util::fatal("unknown shard mode '" + shard +
                     "' (sharded|replicated)");
     sopts.seed = uint64_t(args.get_int("seed", 1));
-    sopts.storage = parse_storage_opts(args, ds);
+    sopts.storage = parse_storage_opts(args, dataset);
     const std::string profile_json = args.get("profile-json", "");
     sopts.profile = args.has("profile") || !profile_json.empty();
     sopts.modelled_samplers = int(args.get_int("samplers", 0));
@@ -646,16 +674,6 @@ run_serve(const Args &args)
         lopts.model_mix = {1.0 - share, share};
     }
 
-    // Warmup trace (recorded by `train --save-warmup`): seeds the
-    // feature-cache ranking and every tier's embedding cache.
-    const std::string warmup_path = args.get("warmup", "");
-    if (!warmup_path.empty()) {
-        sopts.warmup = match::load_warmup_trace(warmup_path);
-        if (sopts.warmup.empty())
-            return 1;
-    }
-    serve::Server server(ds, sopts);
-
     lopts.rate_rps = double(rate);
     lopts.trace = parse_trace(args.get("trace", "const"));
     lopts.num_requests = requests;
@@ -678,6 +696,21 @@ run_serve(const Args &args)
         lopts.num_requests =
             copts.requests_per_client * copts.num_clients;
     }
+
+    // Warmup trace (recorded by `train --save-warmup`): seeds the
+    // feature-cache ranking and every tier's embedding cache.
+    const std::string warmup_path = args.get("warmup", "");
+    if (!warmup_path.empty()) {
+        sopts.warmup = match::load_warmup_trace(warmup_path);
+        if (sopts.warmup.empty())
+            return 1;
+    }
+
+    graph::ReplicaOptions ropts;
+    ropts.materialize_features = false;
+    ropts.size_factor = double(scale_pct) / 100.0;
+    const graph::Dataset ds = graph::load_replica(dataset, ropts);
+    serve::Server server(ds, sopts);
     serve::LoadGenerator gen(server.popularity(), lopts);
 
     if (copts.num_clients > 0)
@@ -734,24 +767,23 @@ run_serve(const Args &args)
                 st.mean_batch_size, 100.0 * st.gpu_utilization);
     std::printf("  feature cache %.1f%% hit (%lld rows), embedding "
                 "cache %.1f%% hit (%lld rows)\n",
-                100.0 * st.feature_hit_rate,
+                100.0 * st.residency.features.hit_rate(),
                 static_cast<long long>(server.feature_cache_rows()),
                 100.0 * st.embedding_hit_rate,
                 static_cast<long long>(server.embedding_cache_rows()));
     if (st.warmed)
         std::printf("  warmup: %lld embedding rows pre-seeded\n",
                     static_cast<long long>(st.warmed_rows));
-    print_store_summary(server.residency().store());
-    if (st.num_gpus > 1) {
+    if (st.num_gpus > 1)
         std::printf("  %d modelled devices (%s, %s): %lld remote "
                     "feature hits, %lld remote embedding hits\n",
                     st.num_gpus,
                     graph::partitioner_name(sopts.partitioner),
                     match::shard_mode_name(sopts.shard_mode),
-                    static_cast<long long>(st.feature_remote_hits),
+                    static_cast<long long>(
+                        st.residency.features.remote_hits),
                     static_cast<long long>(st.embedding_remote_hits));
-        print_partition_traffic(st.per_partition, st.peer_links);
-    }
+    print_residency(st.residency, sopts.storage);
     for (size_t c = 0; c < serve::kNumPriorityClasses; ++c) {
         const serve::PriorityClassStats &cls = st.per_class[c];
         if (cls.offered == 0)
