@@ -11,6 +11,17 @@
 
 #include "fastgl.h"
 
+namespace {
+
+/** Hit fraction of @p rows lookups of which @p misses missed. */
+double
+hit_rate(int64_t rows, int64_t misses)
+{
+    return rows ? double(rows - misses) / double(rows) : 0.0;
+}
+
+} // namespace
+
 int
 main()
 {
@@ -55,22 +66,21 @@ main()
                                                  hot_rank, rows);
             const int64_t eval_batches =
                 std::min<int64_t>(8, splitter.num_batches());
+            int64_t looked_up = 0, degree_misses = 0, hot_misses = 0;
             for (int64_t b = 2; b < eval_batches; ++b) {
                 const auto sg = sampler.sample(splitter.batch(b));
-                by_degree.lookup_batch(sg.nodes);
-                by_hotness.lookup_batch(sg.nodes);
+                looked_up += sg.num_nodes();
+                degree_misses += by_degree.lookup_batch(sg.nodes);
+                hot_misses += by_hotness.lookup_batch(sg.nodes);
             }
+            const double degree_hit = hit_rate(looked_up, degree_misses);
+            const double hot_hit = hit_rate(looked_up, hot_misses);
             table.add_row(
                 {graph::dataset_short_name(id),
                  util::TextTable::num(frac, 2),
-                 util::TextTable::num(100.0 * by_degree.hit_rate(), 1) +
-                     "%",
-                 util::TextTable::num(
-                     100.0 * by_hotness.hit_rate(), 1) +
-                     "%",
-                 by_hotness.hit_rate() >= by_degree.hit_rate()
-                     ? "presample"
-                     : "degree"});
+                 util::TextTable::num(100.0 * degree_hit, 1) + "%",
+                 util::TextTable::num(100.0 * hot_hit, 1) + "%",
+                 hot_hit >= degree_hit ? "presample" : "degree"});
         }
     }
     table.print();
@@ -127,21 +137,20 @@ main()
                                                  hot_rank, rows);
             const int64_t eval_batches =
                 std::min<int64_t>(10, splitter.num_batches());
+            int64_t looked_up = 0, degree_misses = 0, hot_misses = 0;
             for (int64_t b = 3; b < eval_batches; ++b) {
                 const auto sg = sampler.sample(splitter.batch(b));
-                by_degree.lookup_batch(sg.nodes);
-                by_hotness.lookup_batch(sg.nodes);
+                looked_up += sg.num_nodes();
+                degree_misses += by_degree.lookup_batch(sg.nodes);
+                hot_misses += by_hotness.lookup_batch(sg.nodes);
             }
+            const double degree_hit = hit_rate(looked_up, degree_misses);
+            const double hot_hit = hit_rate(looked_up, hot_misses);
             skewed.add_row(
                 {util::TextTable::num(frac, 2),
-                 util::TextTable::num(100.0 * by_degree.hit_rate(), 1) +
-                     "%",
-                 util::TextTable::num(
-                     100.0 * by_hotness.hit_rate(), 1) +
-                     "%",
-                 by_hotness.hit_rate() >= by_degree.hit_rate()
-                     ? "presample"
-                     : "degree"});
+                 util::TextTable::num(100.0 * degree_hit, 1) + "%",
+                 util::TextTable::num(100.0 * hot_hit, 1) + "%",
+                 hot_hit >= degree_hit ? "presample" : "degree"});
         }
     }
     skewed.print();

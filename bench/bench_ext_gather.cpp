@@ -4,13 +4,11 @@
  * match::GatherEngine's batched SIMD gather against the legacy
  * feature-staging path (a fresh zero-filled compute::Tensor plus a
  * per-row bounds-checked FeatureStore::gather_row loop — verbatim the
- * pre-engine Trainer::gather_features / serve sequencer code), of the
- * fused gather+cache-accounting pass against the legacy
- * lookup_batch-then-stage two-pass, and of the one-pass
- * FrequencyHashmap presample against the legacy dense count-then-sort
- * two-pass. Every legacy side is replicated in-bench and FNV-witnessed
- * against the fast path — divergence is fatal (exit 1), because then
- * the speedups would not compare equal work.
+ * pre-engine Trainer::gather_features / serve sequencer code), and of
+ * the one-pass FrequencyHashmap presample against the legacy dense
+ * count-then-sort two-pass. Every legacy side is replicated in-bench
+ * and FNV-witnessed against the fast path — divergence is fatal
+ * (exit 1), because then the speedups would not compare equal work.
  *
  * Two gather geometries are measured: a mid-size PCIe batch
  * (8192 x 256) where the copy itself dominates, and a wide-feature
@@ -29,7 +27,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <numeric>
 #include <vector>
 
 #include "compute/tensor.h"
@@ -73,16 +70,6 @@ legacy_gather_features(const FeatureStore &store,
         store.gather_row(nodes[i],
                          x.row(static_cast<int64_t>(i)).data());
     return x;
-}
-
-/** The historical cached gather: lookup_batch sweep, then the staging. */
-compute::Tensor
-legacy_cached_gather(const FeatureStore &store,
-                     const match::StaticFeatureCache &cache,
-                     const std::vector<NodeId> &nodes, int64_t *misses)
-{
-    *misses = cache.lookup_batch(nodes);
-    return legacy_gather_features(store, nodes);
 }
 
 /** The historical presample: dense per-node counts, then a full sort. */
@@ -205,82 +192,6 @@ main(int argc, char **argv)
                                     cfg.legacy_s / cfg.best_engine_s);
     }
 
-    // ---- Fused gather + cache accounting --------------------------
-    const NodeId num_nodes = cases[0].num_nodes;
-    const int dim = cases[0].dim;
-    const int64_t batch = cases[0].batch;
-    const int reps = cases[0].reps;
-    FeatureStore store(num_nodes, dim, 8, 0xFA57, true);
-    util::Rng rng(42);
-    std::vector<NodeId> nodes;
-    nodes.reserve(static_cast<size_t>(batch));
-    for (int64_t i = 0; i < batch; ++i)
-        nodes.push_back(static_cast<NodeId>(
-            rng.next_below(static_cast<uint64_t>(num_nodes))));
-    const uint64_t want =
-        fnv_bytes(legacy_gather_features(store, nodes).data(),
-                  static_cast<size_t>(batch) * static_cast<size_t>(dim) *
-                      sizeof(float));
-
-    std::vector<NodeId> ranking(static_cast<size_t>(num_nodes));
-    std::iota(ranking.begin(), ranking.end(), 0);
-    match::StaticFeatureCache legacy_cache(num_nodes, ranking,
-                                           num_nodes / 5);
-    match::StaticFeatureCache fused_cache(num_nodes, ranking,
-                                          num_nodes / 5);
-
-    double legacy_cached_s = 0.0;
-    int64_t legacy_misses = 0;
-    uint64_t legacy_cached_hash = 0;
-    {
-        const Clock::time_point t0 = Clock::now();
-        for (int r = 0; r < reps; ++r)
-            legacy_cached_gather(store, legacy_cache, nodes,
-                                 &legacy_misses);
-        legacy_cached_s = seconds_since(t0);
-        const compute::Tensor x =
-            legacy_cached_gather(store, legacy_cache, nodes,
-                                 &legacy_misses);
-        legacy_cached_hash =
-            fnv_bytes(x.data(), static_cast<size_t>(batch) *
-                                    static_cast<size_t>(dim) *
-                                    sizeof(float));
-        // The warm-up and witness passes also counted: rewind and
-        // replay exactly reps accounted sweeps so the hit totals are
-        // comparable with the fused side's reps.
-        legacy_cache.reset_stats();
-        for (int r = 0; r < reps; ++r)
-            legacy_cache.lookup_batch(nodes);
-    }
-
-    // Single-threaded on both sides so the delta isolates the fused
-    // accounting pass; the thread sweep lives in the gather cases.
-    GatherEngine fused_engine(1);
-    double fused_s = 0.0;
-    GatherEngine::CachedGather fused;
-    {
-        fused = fused_engine.gather_cached(store, nodes,
-                                           fused_cache); // warm
-        fused_cache.reset_stats();
-        const Clock::time_point t0 = Clock::now();
-        for (int r = 0; r < reps; ++r) {
-            fused.panel.release();
-            fused = fused_engine.gather_cached(store, nodes,
-                                               fused_cache);
-        }
-        fused_s = seconds_since(t0);
-    }
-    const bool fused_identical =
-        check_witness(want, legacy_cached_hash) &&
-        check_witness(legacy_cached_hash,
-                      fnv_bytes(fused.panel.data(),
-                                static_cast<size_t>(
-                                    fused.panel.bytes()))) &&
-        check_witness(static_cast<uint64_t>(legacy_misses),
-                      static_cast<uint64_t>(fused.misses)) &&
-        check_witness(static_cast<uint64_t>(legacy_cache.hits()),
-                      static_cast<uint64_t>(fused_cache.hits()));
-
     // ---- Presample: count-while-dedup vs dense two-pass -----------
     // Representative regime: a presample only touches the nodes a few
     // warm-up batches expand to — a sparse subset of a large graph —
@@ -290,6 +201,7 @@ main(int argc, char **argv)
     // traces are never that dense.)
     const NodeId pre_nodes = smoke ? 500000 : 5000000;
     const int64_t stream_len = smoke ? 50000 : 400000;
+    util::Rng rng(42);
     std::vector<NodeId> stream;
     stream.reserve(static_cast<size_t>(stream_len));
     for (int64_t i = 0; i < stream_len; ++i) {
@@ -374,17 +286,6 @@ main(int argc, char **argv)
     std::printf("    ],\n");
     std::printf("    \"best_speedup_vs_legacy\": %.3f\n  },\n",
                 best_speedup);
-
-    std::printf("  \"fused_cache_gather\": {\n");
-    std::printf("    \"legacy_two_pass_s\": %.6f,\n", legacy_cached_s);
-    std::printf("    \"fused_s\": %.6f,\n", fused_s);
-    std::printf("    \"speedup\": %.3f,\n",
-                fused_s > 0 ? legacy_cached_s / fused_s : 0.0);
-    std::printf("    \"hits\": %lld, \"misses\": %lld,\n",
-                static_cast<long long>(fused.hits),
-                static_cast<long long>(fused.misses));
-    std::printf("    \"identical\": %s\n  },\n",
-                fused_identical ? "true" : "false");
 
     std::printf("  \"presample\": {\n");
     std::printf("    \"num_nodes\": %lld, \"stream\": %lld, "

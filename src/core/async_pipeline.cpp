@@ -7,7 +7,6 @@
 #include <utility>
 #include <vector>
 
-#include "match/gather_engine.h"
 #include "util/in_order_ring.h"
 
 namespace fastgl {
@@ -21,23 +20,6 @@ double
 seconds_since(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/** FNV-1a over one gathered panel, seeded with the batch id. */
-uint64_t
-panel_fingerprint(int64_t batch_id, const match::FeaturePanel &panel)
-{
-    uint64_t h = 0xCBF29CE484222325ULL;
-    auto fold = [&h](uint64_t word) {
-        h = (h ^ word) * 0x100000001B3ULL;
-    };
-    fold(static_cast<uint64_t>(batch_id));
-    fold(static_cast<uint64_t>(panel.rows()));
-    const auto *bytes =
-        reinterpret_cast<const unsigned char *>(panel.data());
-    for (uint64_t i = 0; i < panel.bytes(); ++i)
-        fold(bytes[i]);
-    return h;
 }
 
 } // namespace
@@ -108,9 +90,6 @@ AsyncPipeline::run_epoch()
         int64_t batch_id = 0;
         Pipeline::BatchRecord record;
         sample::SampledSubgraph sg;
-        /** Gathered feature rows (gather_features mode); moved through
-         *  the queue with the item — the bytes never move again. */
-        match::FeaturePanel panel;
     };
 
     std::vector<std::vector<Pipeline::BatchRecord>> records(
@@ -170,11 +149,6 @@ AsyncPipeline::run_epoch()
     std::atomic<size_t> window_cursor{0};
     std::atomic<int64_t> windows_produced{0};
     std::atomic<int64_t> batches_completed{0};
-    // gather_features accumulators: XOR/adds commute, so the folds are
-    // thread-count invariant.
-    std::atomic<uint64_t> gather_fingerprint{0};
-    std::atomic<int64_t> gather_rows{0};
-    std::atomic<uint64_t> gather_bytes{0};
     std::mutex busy_mu;
 
     auto producer = [&] {
@@ -215,12 +189,6 @@ AsyncPipeline::run_epoch()
 
     auto gather = [&] {
         double busy = 0.0;
-        // Per-thread engine (gather_features mode): panels lease from
-        // a thread-local pool, so gather threads never contend on the
-        // arena free list. In-flight panels keep the pool alive past
-        // this lambda's exit — the compute drain may release them
-        // after the engine is long gone.
-        match::GatherEngine engine;
         try {
             for (;;) {
                 std::optional<WindowItem> item = batch_queue.pop();
@@ -250,9 +218,6 @@ AsyncPipeline::run_epoch()
                                 window.ref.gpu)][ci.position];
                         ci.record = pipeline_.plan_transfer(
                             sg, state.matcher);
-                        if (async_.gather_features)
-                            ci.panel = engine.gather(
-                                pipeline_.dataset_.features, sg.nodes);
                         ci.sg = std::move(sg);
                         if (!compute_queue.push(std::move(ci))) {
                             queue_open = false;
@@ -283,18 +248,6 @@ AsyncPipeline::run_epoch()
                 if (async_.compute_hook)
                     async_.compute_hook(item->batch_id);
                 const Clock::time_point t0 = Clock::now();
-                if (async_.gather_features) {
-                    gather_fingerprint.fetch_xor(
-                        panel_fingerprint(item->batch_id, item->panel),
-                        std::memory_order_relaxed);
-                    gather_rows.fetch_add(item->panel.rows(),
-                                          std::memory_order_relaxed);
-                    gather_bytes.fetch_add(item->panel.bytes(),
-                                           std::memory_order_relaxed);
-                    // Done with the bytes: return the arena to its
-                    // pool before the modelled compute runs.
-                    item->panel.release();
-                }
                 item->record.compute = pipeline_.compute_time(item->sg);
                 records[static_cast<size_t>(item->gpu)][item->position] =
                     item->record;
@@ -333,9 +286,6 @@ AsyncPipeline::run_epoch()
     stats_.wall_seconds = seconds_since(wall_start);
     stats_.windows_produced = windows_produced.load();
     stats_.batches_completed = batches_completed.load();
-    stats_.gather_fingerprint = gather_fingerprint.load();
-    stats_.gather_rows = gather_rows.load();
-    stats_.gather_bytes = gather_bytes.load();
     stats_.stopped_early = shutdown_.stop_requested();
     shutdown_.end_run();
     stats_.batch_queue = batch_queue.stats();

@@ -8,11 +8,12 @@
  *
  * Two clocks coexist:
  *  - the *modelled* clock (EpochResult/PhaseBreakdown seconds from
- *    sim::KernelModel / sim::PcieLink) is bit-identical to the sequential
- *    Pipeline for the same PipelineOptions seed, no matter how many
- *    threads run — every batch samples from its own derived RNG stream
- *    (util::derive_seed) and the per-GPU Match/Reorder chain is replayed
- *    in sequential order by a window sequencer;
+ *    sim::KernelModel and Pipeline::plan_transfer's PCIe formula) is
+ *    bit-identical to the sequential Pipeline for the same
+ *    PipelineOptions seed, no matter how many threads run — every batch
+ *    samples from its own derived RNG stream (util::derive_seed) and
+ *    the per-GPU Match/Reorder chain is replayed in sequential order by
+ *    a window sequencer;
  *  - the *measured* host wall-clock (AsyncEpochStats) shows the real
  *    overlap win: sampling of window w+1 proceeds while window w is
  *    being matched and its compute cost evaluated.
@@ -44,16 +45,6 @@ struct AsyncPipelineOptions
      * consumer throttles sampling instead of buffering the whole epoch.
      */
     size_t queue_depth = 4;
-    /**
-     * Gather real feature rows (match::GatherEngine, one per gather
-     * thread) into arena-leased panels that are *moved* through the
-     * compute queue — no feature copies between stages. The compute
-     * drain folds every panel into AsyncEpochStats::gather_fingerprint
-     * (FNV per batch, XOR across batches, so the combine is
-     * order-independent and the fingerprint thread-count-invariant).
-     * Off by default: the modelled clock does not need real bytes.
-     */
-    bool gather_features = false;
     /**
      * Optional per-stage recorder (caller-owned, may be null). The
      * epoch's per-batch modelled phases are fed into it *after* the
@@ -90,16 +81,6 @@ struct AsyncEpochStats
     bool stopped_early = false;
     util::QueueStats batch_queue;
     util::QueueStats compute_queue;
-    /**
-     * XOR of per-batch FNV(batch_id, panel bytes) words when
-     * AsyncPipelineOptions::gather_features is on (0 when off or when
-     * the epoch completed zero batches). Thread-count invariant: each
-     * batch's word depends only on its id and bytes, and XOR commutes.
-     */
-    uint64_t gather_fingerprint = 0;
-    /** Feature rows / bytes gathered into panels this epoch. */
-    int64_t gather_rows = 0;
-    uint64_t gather_bytes = 0;
 };
 
 /**

@@ -199,9 +199,9 @@ simulate_factored(const std::vector<std::vector<MultiGpuBatch>> &per_device,
 
     const int num_samplers =
         std::clamp(config.num_samplers, 1, num_devices - 1);
-    const double cooldown = config.switch_cooldown > 0.0
-                                ? config.switch_cooldown
-                                : 8.0 * config.switch_latency;
+    // Minimum virtual seconds between flips of one device (hysteresis
+    // against ping-pong).
+    const double cooldown = 8.0 * config.switch_latency;
 
     std::vector<DeviceRole> role(static_cast<size_t>(num_devices),
                                  DeviceRole::kTrainer);
@@ -241,9 +241,8 @@ simulate_factored(const std::vector<std::vector<MultiGpuBatch>> &per_device,
         h = fnv(h, to == DeviceRole::kTrainer ? 1ull : 0ull);
     };
 
+    // Ready-queue depth at which a free sampler flips to training.
     auto high_watermark = [&]() {
-        if (config.queue_high_watermark > 0)
-            return static_cast<int64_t>(config.queue_high_watermark);
         return static_cast<int64_t>(2 * std::max(1, trainers_alive));
     };
 

@@ -87,14 +87,6 @@ struct MultiGpuConfig
     int num_samplers = 1;
     /** Modelled cost of one role flip (context + weights reload). */
     double switch_latency = 2e-3;
-    /**
-     * Ready-queue depth at which a free sampler flips to training
-     * (switcher mode); 0 derives 2x the current trainer count.
-     */
-    int queue_high_watermark = 0;
-    /** Minimum virtual seconds between flips of one device; 0 derives
-     *  8x switch_latency (hysteresis against ping-pong). */
-    double switch_cooldown = 0.0;
 };
 
 /** Per-device outcome of one multi-GPU epoch. */

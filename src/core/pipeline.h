@@ -6,7 +6,8 @@
  *
  * This is the engine behind every end-to-end figure in the paper (Figs. 3,
  * 9, 10, 13, 14, 15): the sampling, hashing, matching and caching all
- * really execute; the seconds come from sim::KernelModel / sim::PcieLink.
+ * really execute; the seconds come from sim::KernelModel, and a batch's
+ * PCIe seconds from the formula in plan_transfer.
  */
 #pragma once
 

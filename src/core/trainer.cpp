@@ -103,14 +103,7 @@ Trainer::gather_features(const sample::SampledSubgraph &sg)
     // same (cache- and TLB-warm) arena straight back — the steady
     // state is one hot buffer, not two alternating cold ones.
     panel_.release();
-    if (const match::StaticFeatureCache *cache =
-            residency_->static_cache()) {
-        panel_ = gather_engine_
-                     ->gather_cached(dataset_.features, sg.nodes, *cache)
-                     .panel;
-    } else {
-        panel_ = gather_engine_->gather(dataset_.features, sg.nodes);
-    }
+    panel_ = gather_engine_->gather(dataset_.features, sg.nodes);
     return compute::Tensor::view(panel_.data(), panel_.rows(),
                                  panel_.dim());
 }

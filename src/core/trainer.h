@@ -112,8 +112,8 @@ struct TrainEpochStats
      */
     std::vector<int64_t> node_frequencies;
     /** Batched feature-gather counters measured during this epoch
-     *  (rows/bytes/seconds, plus fused cache hit/miss tallies when
-     *  TrainerOptions::feature_cache_ratio is on). */
+     *  (calls, rows, bytes, seconds). The cache hits are in
+     *  residency.features. */
     match::GatherStats gather;
     /** Modelled devices of the accounting pass (1 = off). */
     int num_gpus = 1;

@@ -52,18 +52,9 @@ StaticFeatureCache::StaticFeatureCache(
 int64_t
 StaticFeatureCache::lookup_batch(std::span<const graph::NodeId> nodes) const
 {
-    // Accumulate locally and publish once: one atomic RMW per counter per
-    // batch instead of per node keeps the concurrent gather path cheap.
-    int64_t hit = 0;
     int64_t miss = 0;
-    for (graph::NodeId node : nodes) {
-        if (contains(node))
-            ++hit;
-        else
-            ++miss;
-    }
-    hits_.fetch_add(hit, std::memory_order_relaxed);
-    misses_.fetch_add(miss, std::memory_order_relaxed);
+    for (graph::NodeId node : nodes)
+        miss += contains(node) ? 0 : 1;
     return miss;
 }
 

@@ -9,7 +9,6 @@
  */
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -48,7 +47,10 @@ enum class CachePolicy
  * Static (fill-once) feature cache over a hotness ranking.
  *
  * Both PaGraph and GNNLab fill the cache before training and never evict;
- * the policies differ only in the ranking.
+ * the policies differ only in the ranking. The resident set is immutable
+ * after construction, so any number of threads may read one cache; who
+ * counts the hits is the caller's business (store::FeatureResidency for
+ * the trainer and the server).
  */
 class StaticFeatureCache
 {
@@ -70,28 +72,9 @@ class StaticFeatureCache
         return cached_[static_cast<size_t>(node)];
     }
 
-    /**
-     * Count hits/misses of a batch node list; accumulates statistics.
-     * Thread safe: the cache content is immutable after construction and
-     * the statistics are atomic, so concurrent gather stages may share
-     * one cache (the per-batch return value is unaffected by peers).
-     * @return number of misses (rows that must cross PCIe).
-     */
+    /** @return the rows of @p nodes that are not resident (they must
+     *  cross PCIe). */
     int64_t lookup_batch(std::span<const graph::NodeId> nodes) const;
-
-    /**
-     * Publish externally tallied hit/miss counts into the statistics —
-     * the accounting half of lookup_batch for callers that already
-     * counted residency themselves (GatherEngine's fused gather pass
-     * counts while copying, one record() per shard). Thread safe;
-     * integer sums make the totals exact regardless of shard layout.
-     */
-    void
-    record(int64_t hit, int64_t miss) const
-    {
-        hits_.fetch_add(hit, std::memory_order_relaxed);
-        misses_.fetch_add(miss, std::memory_order_relaxed);
-    }
 
     int64_t capacity_rows() const { return capacity_rows_; }
 
@@ -105,34 +88,10 @@ class StaticFeatureCache
         return static_cast<uint64_t>(resident_rows_) * row_bytes;
     }
 
-    int64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-    int64_t
-    misses() const
-    {
-        return misses_.load(std::memory_order_relaxed);
-    }
-
-    /** Hit fraction over all lookups so far. */
-    double
-    hit_rate() const
-    {
-        const int64_t total = hits() + misses();
-        return total ? double(hits()) / double(total) : 0.0;
-    }
-
-    void
-    reset_stats()
-    {
-        hits_.store(0, std::memory_order_relaxed);
-        misses_.store(0, std::memory_order_relaxed);
-    }
-
   private:
     std::vector<bool> cached_;
     int64_t capacity_rows_;
     int64_t resident_rows_ = 0;
-    mutable std::atomic<int64_t> hits_{0};
-    mutable std::atomic<int64_t> misses_{0};
 };
 
 /** PaGraph-style ranking: nodes sorted by descending degree. */

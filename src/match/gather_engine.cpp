@@ -1,6 +1,5 @@
 #include "match/gather_engine.h"
 
-#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <utility>
@@ -98,22 +97,14 @@ FeaturePanel::release()
     lease_.reset();
 }
 
-GatherEngine::GatherEngine() : panels_(std::make_shared<PanelPool>()) {}
-
 GatherEngine::GatherEngine(int threads)
     : panels_(std::make_shared<PanelPool>())
 {
     FASTGL_CHECK(threads >= 0, "negative gather thread count");
-    if (threads != 1) {
-        owned_ = std::make_unique<util::ThreadPool>(
+    if (threads != 1)
+        pool_ = std::make_unique<util::ThreadPool>(
             static_cast<size_t>(threads));
-        pool_ = owned_.get();
-    }
 }
-
-GatherEngine::GatherEngine(util::ThreadPool *pool)
-    : pool_(pool), panels_(std::make_shared<PanelPool>())
-{}
 
 GatherEngine::~GatherEngine() = default;
 
@@ -156,22 +147,6 @@ FeaturePanel
 GatherEngine::gather(const graph::FeatureStore &store,
                      std::span<const graph::NodeId> nodes)
 {
-    return gather_impl(store, nodes, nullptr).panel;
-}
-
-GatherEngine::CachedGather
-GatherEngine::gather_cached(const graph::FeatureStore &store,
-                            std::span<const graph::NodeId> nodes,
-                            const StaticFeatureCache &cache)
-{
-    return gather_impl(store, nodes, &cache);
-}
-
-GatherEngine::CachedGather
-GatherEngine::gather_impl(const graph::FeatureStore &store,
-                          std::span<const graph::NodeId> nodes,
-                          const StaticFeatureCache *cache)
-{
     const auto t0 = std::chrono::steady_clock::now();
 
     // Hoisted structural pass: one bounds sweep here buys unvalidated
@@ -180,18 +155,11 @@ GatherEngine::gather_impl(const graph::FeatureStore &store,
 
     const int64_t rows = static_cast<int64_t>(nodes.size());
     const int64_t dim = store.dim();
-    CachedGather out;
-    out.panel = acquire_panel(rows, dim);
+    FeaturePanel panel = acquire_panel(rows, dim);
 
-    float *dst = out.panel.data();
+    float *dst = panel.data();
     const graph::NodeId *ids = nodes.data();
-    // Exact at any thread width: shards tally locally and publish once;
-    // integer addition is associative, so the totals cannot depend on
-    // the shard layout.
-    std::atomic<int64_t> hits{0};
-
     auto run_shard = [&](size_t begin, size_t end) {
-        int64_t local_hits = 0;
         if (store.materialized()) {
             for (size_t i = begin; i < end; ++i)
                 copy_row_simd(store.row_ptr_unvalidated(ids[i]),
@@ -201,16 +169,6 @@ GatherEngine::gather_impl(const graph::FeatureStore &store,
                 store.gather_row_unvalidated(
                     ids[i], dst + static_cast<int64_t>(i) * dim);
         }
-        if (cache) {
-            // Fused accounting: the IDs are already hot in cache from
-            // the gather loop; count residency in the same pass instead
-            // of a separate lookup_batch sweep.
-            for (size_t i = begin; i < end; ++i)
-                local_hits += cache->contains(ids[i]) ? 1 : 0;
-            hits.fetch_add(local_hits, std::memory_order_relaxed);
-            cache->record(local_hits,
-                          static_cast<int64_t>(end - begin) - local_hits);
-        }
     };
 
     if (pool_ && rows > 0)
@@ -218,21 +176,14 @@ GatherEngine::gather_impl(const graph::FeatureStore &store,
     else
         run_shard(0, static_cast<size_t>(rows));
 
-    out.hits = hits.load(std::memory_order_relaxed);
-    out.misses = rows - out.hits;
-
     stats_.seconds +=
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)
             .count();
     stats_.rows += rows;
-    stats_.bytes += out.panel.bytes();
+    stats_.bytes += panel.bytes();
     stats_.calls += 1;
-    if (cache) {
-        stats_.cache_hits += out.hits;
-        stats_.cache_misses += out.misses;
-    }
-    return out;
+    return panel;
 }
 
 } // namespace match

@@ -5,10 +5,10 @@
  * numeric kernels.
  *
  * Every consumer of gathered features (core::Trainer, serve::Server's
- * real forwards, core::AsyncPipeline's gather stage) historically called
- * graph::FeatureStore::gather_row one node at a time: a cross-TU call
- * plus a bounds check per row, into a freshly heap-allocated tensor per
- * batch. GatherEngine replaces that loop with
+ * real forwards) historically called graph::FeatureStore::gather_row
+ * one node at a time: a cross-TU call plus a bounds check per row, into
+ * a freshly heap-allocated tensor per batch. GatherEngine replaces that
+ * loop with
  *
  *   - one hoisted structural pass (FeatureStore::validate_nodes) instead
  *     of a bounds check per row — the LayerBlock::validate() pattern;
@@ -23,11 +23,10 @@
  *     gathers never touch the heap, and panels are *handed off* through
  *     queues / wrapped as compute::Tensor::view instead of copied. A
  *     panel returns its arena to the pool on destruction, from any
- *     thread, even after the engine is gone;
- *   - optional fused cache accounting: hit/miss counting against a
- *     match::StaticFeatureCache folded into the same pass over the rows
- *     (one pass instead of lookup_batch + gather), publishing exact
- *     totals to the cache's atomic statistics once per shard.
+ *     thread, even after the engine is gone.
+ *
+ * The engine only copies rows. Which of them a device cache already
+ * holds is store::FeatureResidency::charge's call, not the gather's.
  *
  * See docs/feature_gather.md for the contract and the panel
  * lifetime/ownership rules.
@@ -39,7 +38,6 @@
 #include <span>
 
 #include "graph/feature_store.h"
-#include "match/feature_cache.h"
 
 namespace fastgl {
 namespace util {
@@ -120,12 +118,10 @@ class FeaturePanel
 /** Measured counters of one engine (one caller thread at a time). */
 struct GatherStats
 {
-    double seconds = 0.0;     ///< Wall seconds inside gather calls.
-    int64_t rows = 0;         ///< Feature rows gathered.
-    uint64_t bytes = 0;       ///< Bytes written into panels.
-    int64_t calls = 0;        ///< Batched gather calls.
-    int64_t cache_hits = 0;   ///< Fused-pass cache hits (gather_cached).
-    int64_t cache_misses = 0; ///< Fused-pass cache misses.
+    double seconds = 0.0; ///< Wall seconds inside gather calls.
+    int64_t rows = 0;     ///< Feature rows gathered.
+    uint64_t bytes = 0;   ///< Bytes written into panels.
+    int64_t calls = 0;    ///< Batched gather calls.
 
     /** Measured gather bandwidth in GB/s. */
     double
@@ -141,8 +137,6 @@ struct GatherStats
         rows += o.rows;
         bytes += o.bytes;
         calls += o.calls;
-        cache_hits += o.cache_hits;
-        cache_misses += o.cache_misses;
         return *this;
     }
 };
@@ -152,24 +146,16 @@ struct GatherStats
  * compute::KernelEngine, an instance is driven by one caller thread at
  * a time (stats and the lease fast path are unsynchronised); the worker
  * threads it fans out to are internal, and separate engines may share
- * one FeatureStore and one StaticFeatureCache concurrently (both are
- * immutable reads; cache statistics stay exact because each shard
- * publishes its local tallies with one atomic add per counter).
+ * one FeatureStore concurrently (an immutable read).
  */
 class GatherEngine
 {
   public:
-    /** Sequential engine (no pool). */
-    GatherEngine();
-
     /**
      * Engine over @p threads workers: 1 = sequential, 0 = hardware
      * concurrency, n = n workers (owned pool).
      */
-    explicit GatherEngine(int threads);
-
-    /** Engine over a caller-owned pool (must outlive the engine). */
-    explicit GatherEngine(util::ThreadPool *pool);
+    explicit GatherEngine(int threads = 1);
 
     ~GatherEngine();
 
@@ -189,26 +175,6 @@ class GatherEngine
     FeaturePanel gather(const graph::FeatureStore &store,
                         std::span<const graph::NodeId> nodes);
 
-    /** Result of a fused gather + cache-accounting pass. */
-    struct CachedGather
-    {
-        FeaturePanel panel;
-        int64_t hits = 0;   ///< Rows resident in @p cache.
-        int64_t misses = 0; ///< Rows that must cross PCIe.
-    };
-
-    /**
-     * gather() with StaticFeatureCache hit/miss accounting fused into
-     * the same pass over the rows — replaces the historical
-     * lookup_batch-then-gather two-pass. Counts are exact at any
-     * thread count (per-shard tallies, integer sums), and are also
-     * published to @p cache's atomic statistics exactly as
-     * lookup_batch would have.
-     */
-    CachedGather gather_cached(const graph::FeatureStore &store,
-                               std::span<const graph::NodeId> nodes,
-                               const StaticFeatureCache &cache);
-
     const GatherStats &stats() const { return stats_; }
     void reset_stats() { stats_ = GatherStats{}; }
 
@@ -218,13 +184,8 @@ class GatherEngine
 
     FeaturePanel acquire_panel(int64_t rows, int64_t dim);
 
-    CachedGather gather_impl(const graph::FeatureStore &store,
-                             std::span<const graph::NodeId> nodes,
-                             const StaticFeatureCache *cache);
-
-    util::ThreadPool *pool_ = nullptr;        ///< Null = sequential.
-    std::unique_ptr<util::ThreadPool> owned_; ///< Set for GatherEngine(int).
-    std::shared_ptr<PanelPool> panels_;       ///< Kept alive by leases too.
+    std::unique_ptr<util::ThreadPool> pool_; ///< Null = sequential.
+    std::shared_ptr<PanelPool> panels_;      ///< Kept alive by leases too.
     GatherStats stats_;
 };
 

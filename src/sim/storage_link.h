@@ -4,8 +4,8 @@
  *
  * The out-of-core feature store (fastgl::store) keeps cold feature rows
  * on block storage; this model converts block-read counts into virtual
- * seconds the same way sim::PcieLink converts byte counts. Reads are
- * block-granular and issued in bounded in-flight windows (the
+ * seconds, as store::FeatureResidency::io_seconds converts PCIe bytes.
+ * Reads are block-granular and issued in bounded in-flight windows (the
  * GIDS-style batched GPU-initiated access pattern): a window of up to
  * `queue_depth` reads pays one read latency, so deeper queues amortise
  * latency while bandwidth scales with the bytes actually moved.
@@ -39,7 +39,8 @@ StorageSpec sata_ssd_spec();
 /**
  * One modelled storage device. Deterministic: seconds are a pure
  * function of (spec, block count, block size, in-flight bound), never
- * of threads or wall time — the same contract as PcieLink.
+ * of threads or wall time — the same contract as the PCIe formulas
+ * (store::FeatureResidency::io_seconds, core::Pipeline::plan_transfer).
  */
 class StorageLink
 {

@@ -145,8 +145,8 @@ class FeatureResidency
     }
 
     ResidencyStats stats() const;
-    /** Null when cache_rows is 0. charge() tallies into stats(), not
-     *  into the cache's own counters (those are the gather engine's). */
+    /** Null when cache_rows is 0. charge() counts its hits into
+     *  stats(); the cache itself keeps no counters. */
     const match::StaticFeatureCache *
     static_cache() const
     {

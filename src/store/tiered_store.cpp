@@ -65,8 +65,10 @@ TieredFeatureStore::TieredFeatureStore(
     // Storage layout: identity, or partition-major BFS order.
     if (opts_.relayout) {
         if (parts == nullptr || parts->empty()) {
-            own_parts_ = graph::partition_bfs(
-                graph, std::max(1, opts_.relayout_parts));
+            // Callers without a partitioning of their own (e.g.
+            // single-GPU training) get a fixed 16-part BFS cut.
+            constexpr int kRelayoutParts = 16;
+            own_parts_ = graph::partition_bfs(graph, kRelayoutParts);
             parts = &own_parts_;
         }
         layout_ = partition_ordered_layout(graph, *parts);

@@ -63,9 +63,6 @@ struct TieredStoreOptions
     /** Lay feature rows out partition-major in BFS order
      *  (store::partition_ordered_layout) instead of node-ID order. */
     bool relayout = false;
-    /** Partition count for the relayout when the caller has no
-     *  partitioning of its own (e.g. single-GPU training). */
-    int relayout_parts = 16;
     /** Staging-buffer capacity in blocks. */
     int64_t staging_blocks = 4096;
 };
@@ -113,7 +110,7 @@ class TieredFeatureStore
      *                  layout-independent, so relayout changes block
      *                  composition and nothing else)
      * @param parts     partitioning for the relayout; nullptr lets the
-     *                  store partition with opts.relayout_parts
+     *                  store cut its own 16-part BFS partitioning
      * @param gpu_cache device-resident rows to skip; may be nullptr
      * @param opts      see TieredStoreOptions
      */

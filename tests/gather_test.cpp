@@ -6,15 +6,14 @@
  * dimensions), golden hashes pinning the pre-engine gather output,
  * FrequencyHashmap equivalence against a std::unordered_map reference
  * and against the legacy dense two-pass presample ranking, hoisted
- * bounds validation death tests, exact StaticFeatureCache statistics
- * under concurrent engines, panel lifetime past engine destruction,
- * and the Tensor view-mode semantics the zero-copy handoff relies on.
+ * bounds validation death tests, panel lifetime past engine
+ * destruction, and the Tensor view-mode semantics the zero-copy
+ * handoff relies on.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <numeric>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -33,7 +32,6 @@ using graph::FeatureStore;
 using graph::NodeId;
 using match::FeaturePanel;
 using match::GatherEngine;
-using match::StaticFeatureCache;
 using sample::FrequencyHashmap;
 using util::fnv_bytes;
 
@@ -352,83 +350,6 @@ TEST(FrequencyHashmap, FusedRankingIdenticalToLegacyTwoPass)
             freq.uniques(), freq.counts(), num_nodes);
         ASSERT_EQ(fused, legacy) << "round " << round;
     }
-}
-
-// ------------------------------------------------ fused cache account
-
-TEST(GatherEngine, CachedGatherMatchesLookupBatchAccounting)
-{
-    const NodeId n = 200;
-    FeatureStore store(n, 24, 4, 11, true);
-    std::vector<NodeId> ranking(static_cast<size_t>(n));
-    std::iota(ranking.begin(), ranking.end(), 0);
-    StaticFeatureCache fused_cache(n, ranking, 60);
-    StaticFeatureCache legacy_cache(n, ranking, 60);
-
-    util::Rng rng(31337);
-    GatherEngine engine(4);
-    for (int batch = 0; batch < 12; ++batch) {
-        std::vector<NodeId> nodes;
-        for (int i = 0; i < 150; ++i)
-            nodes.push_back(static_cast<NodeId>(
-                rng.next_below(static_cast<uint64_t>(n))));
-        const int64_t legacy_misses = legacy_cache.lookup_batch(nodes);
-        const auto result =
-            engine.gather_cached(store, nodes, fused_cache);
-        EXPECT_EQ(result.misses, legacy_misses);
-        EXPECT_EQ(result.hits,
-                  static_cast<int64_t>(nodes.size()) - legacy_misses);
-        // The fused pass gathers the same bytes as a plain gather.
-        const std::vector<float> want = legacy_gather(store, nodes);
-        EXPECT_EQ(panel_hash(result.panel),
-                  fnv_bytes(want.data(), want.size() * sizeof(float)));
-    }
-    // Published statistics match the legacy accounting exactly.
-    EXPECT_EQ(fused_cache.hits(), legacy_cache.hits());
-    EXPECT_EQ(fused_cache.misses(), legacy_cache.misses());
-    EXPECT_EQ(engine.stats().cache_hits, fused_cache.hits());
-    EXPECT_EQ(engine.stats().cache_misses, fused_cache.misses());
-}
-
-TEST(GatherEngine, CacheStatsExactUnderConcurrentEngines)
-{
-    // Several engines (each itself sharded) hammer one shared cache;
-    // the atomic totals must come out exact, not approximately right.
-    const NodeId n = 300;
-    FeatureStore store(n, 16, 3, 21, true);
-    std::vector<NodeId> ranking(static_cast<size_t>(n));
-    std::iota(ranking.begin(), ranking.end(), 0);
-    StaticFeatureCache cache(n, ranking, 100);
-
-    constexpr int kWorkers = 4;
-    constexpr int kBatches = 25;
-    constexpr int kBatchSize = 97;
-    std::vector<int64_t> worker_hits(kWorkers, 0);
-    std::vector<std::thread> workers;
-    for (int w = 0; w < kWorkers; ++w) {
-        workers.emplace_back([&, w] {
-            GatherEngine engine(2);
-            util::Rng rng(1000 + w);
-            int64_t hits = 0;
-            for (int b = 0; b < kBatches; ++b) {
-                std::vector<NodeId> nodes;
-                for (int i = 0; i < kBatchSize; ++i)
-                    nodes.push_back(static_cast<NodeId>(
-                        rng.next_below(static_cast<uint64_t>(n))));
-                hits += engine.gather_cached(store, nodes, cache).hits;
-            }
-            worker_hits[static_cast<size_t>(w)] = hits;
-        });
-    }
-    for (auto &t : workers)
-        t.join();
-    int64_t want_hits = 0;
-    for (int64_t h : worker_hits)
-        want_hits += h;
-    const int64_t total =
-        int64_t(kWorkers) * kBatches * kBatchSize;
-    EXPECT_EQ(cache.hits(), want_hits);
-    EXPECT_EQ(cache.hits() + cache.misses(), total);
 }
 
 // ------------------------------------------------------ panel lifetime

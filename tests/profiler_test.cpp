@@ -281,10 +281,10 @@ TEST(ProfilerTest, TrainerGatherStageChargesTheFeatureResidency)
     opts.feature_cache_ratio = 0.5;
     core::Trainer warm(ds, opts);
     const auto cached = warm.train_epoch();
-    ASSERT_GT(cached.gather.cache_hits, 0);
+    ASSERT_GT(cached.residency.features.local_hits, 0);
     EXPECT_LT(gather_busy(cached), gather_busy(uncached));
     EXPECT_NEAR(gather_busy(cached),
-                expected(cached.gather.cache_misses, 0.0),
+                expected(cached.residency.features.misses, 0.0),
                 1e-9 * gather_busy(cached));
 
     // Two sharded GPUs: shard misses cross PCIe, peer hits the links.

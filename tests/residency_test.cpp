@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/trainer.h"
@@ -113,6 +114,31 @@ serve_reddit()
     return ds;
 }
 
+/** Static-cache hits and misses of an epoch's sampled rows. */
+struct CacheRecount
+{
+    int64_t hits = 0;
+    int64_t misses = 0;
+};
+
+/** Recount @p s's sampled rows (record_node_frequencies must be on)
+ *  against @p trainer's static cache: every appearance of a row is one
+ *  hit or one miss. */
+CacheRecount
+recount_static_cache(const core::Trainer &trainer,
+                     const core::TrainEpochStats &s)
+{
+    const match::StaticFeatureCache *cache =
+        trainer.residency().static_cache();
+    CacheRecount r;
+    for (size_t u = 0; u < s.node_frequencies.size(); ++u) {
+        const bool hit =
+            cache && cache->contains(static_cast<graph::NodeId>(u));
+        (hit ? r.hits : r.misses) += s.node_frequencies[u];
+    }
+    return r;
+}
+
 /** Digest of one trainer epoch with cache 0.2 over NVMe at 0.25. */
 uint64_t
 trainer_digest(int num_gpus, int width)
@@ -127,12 +153,14 @@ trainer_digest(int num_gpus, int width)
     opts.num_gpus = num_gpus;
     opts.storage.storage = store::StorageKind::kNvme;
     opts.storage.host_mem_fraction = 0.25;
+    opts.record_node_frequencies = true;
     core::Trainer trainer(train_reddit(), opts);
     const core::TrainEpochStats s = trainer.train_epoch();
+    const CacheRecount cache = recount_static_cache(trainer, s);
     // Every tier really carries traffic, so the digest pins each one.
     const store::ResidencyStats &r = s.residency;
     EXPECT_GT(r.store.storage_rows, 0);
-    EXPECT_GT(s.gather.cache_hits, 0);
+    EXPECT_GT(cache.hits, 0);
     if (num_gpus > 1) {
         EXPECT_GT(r.features.remote_hits, 0);
         EXPECT_FALSE(r.peer_links.empty());
@@ -141,8 +169,10 @@ trainer_digest(int num_gpus, int width)
     uint64_t h = util::kFnvOffset;
     for (const double loss : s.iteration_losses)
         h = fold(h, loss);
-    h = fold(h, s.gather.cache_hits);
-    h = fold(h, s.gather.cache_misses);
+    // The digest was pinned on the static-cache hits and misses a
+    // fused gather pass counted; the recount gives the same numbers.
+    h = fold(h, cache.hits);
+    h = fold(h, cache.misses);
     // The digest was pinned when the trainer reported shard totals
     // only, so one GPU folds zero counters there.
     h = fold(h, num_gpus > 1 ? r.features
@@ -221,28 +251,41 @@ TEST(MultiGpuGolden, ServerShardedNvmeIsPinnedAtAnyWidth)
             << "width=" << width;
 }
 
-TEST(OocStoreResidency, OneGpuTrainerReportMatchesGatherCounters)
+TEST(OocStoreResidency, TrainerReportMatchesRecountOfSampledRows)
 {
-    // The report's cache counters and the gather engine's fused
-    // cache tally count the same static-cache lookups independently.
-    for (const store::StorageKind kind :
-         {store::StorageKind::kNone, store::StorageKind::kNvme}) {
-        core::TrainerOptions opts;
-        opts.fanouts = {4, 4};
-        opts.max_batches = 6;
-        opts.batch_size = 32;
-        opts.feature_cache_ratio = 0.2;
-        opts.storage.storage = kind;
-        opts.storage.host_mem_fraction = 0.25;
-        core::Trainer trainer(train_reddit(), opts);
-        const core::TrainEpochStats s = trainer.train_epoch();
-        const match::PartitionCacheCounters &f = s.residency.features;
-        EXPECT_GT(f.local_hits, 0);
-        EXPECT_EQ(f.local_hits, s.gather.cache_hits)
-            << store::storage_kind_name(kind);
-        EXPECT_EQ(f.misses, s.gather.cache_misses)
-            << store::storage_kind_name(kind);
-        EXPECT_EQ(f.remote_hits, 0);
+    // Every sampled row lands in exactly one tier, and on one GPU the
+    // report's cache counters are the static cache's hits and misses.
+    for (const int num_gpus : {1, 2}) {
+        for (const store::StorageKind kind :
+             {store::StorageKind::kNone, store::StorageKind::kNvme}) {
+            core::TrainerOptions opts;
+            opts.fanouts = {4, 4};
+            opts.max_batches = 6;
+            opts.batch_size = 32;
+            opts.feature_cache_ratio = 0.2;
+            opts.num_gpus = num_gpus;
+            opts.storage.storage = kind;
+            opts.storage.host_mem_fraction = 0.25;
+            opts.record_node_frequencies = true;
+            core::Trainer trainer(train_reddit(), opts);
+            const core::TrainEpochStats s = trainer.train_epoch();
+            const CacheRecount cache = recount_static_cache(trainer, s);
+            const match::PartitionCacheCounters &f = s.residency.features;
+            const std::string where =
+                std::to_string(num_gpus) + " GPUs, " +
+                store::storage_kind_name(kind);
+            EXPECT_GT(f.local_hits, 0) << where;
+            EXPECT_EQ(f.local_hits + f.remote_hits + f.misses,
+                      cache.hits + cache.misses)
+                << where;
+            if (num_gpus == 1) {
+                EXPECT_EQ(f.local_hits, cache.hits) << where;
+                EXPECT_EQ(f.misses, cache.misses) << where;
+                EXPECT_EQ(f.remote_hits, 0) << where;
+            } else {
+                EXPECT_GT(f.remote_hits, 0) << where;
+            }
+        }
     }
 }
 

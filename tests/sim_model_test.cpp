@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests for the device model: GpuSpec bandwidth math, PCIe link, device
- * memory ledger, kernel cost model, roofline.
+ * Tests for the device model: GpuSpec bandwidth math, device memory
+ * ledger, kernel cost model, roofline.
  */
 #include <gtest/gtest.h>
 
 #include "sim/device_memory.h"
 #include "sim/gpu_spec.h"
 #include "sim/kernel_model.h"
-#include "sim/pcie_link.h"
 #include "sim/roofline.h"
 
 namespace fastgl {
@@ -41,25 +40,6 @@ TEST(GpuSpec, GraceHopperHasFatHostLink)
 {
     EXPECT_GT(sim::grace_hopper_like().pcie_bw, 10 * sim::rtx3090().pcie_bw);
     EXPECT_LT(sim::rtx3090_pcie3().pcie_bw, sim::rtx3090().pcie_bw);
-}
-
-TEST(PcieLink, TransferTimeIsLatencyPlusBandwidth)
-{
-    const sim::GpuSpec spec = sim::rtx3090();
-    sim::PcieLink link(spec);
-    const double t = link.transfer(32'000'000'000ull); // 32 GB at 32 GB/s
-    EXPECT_NEAR(t, 1.0 + spec.pcie_latency, 1e-6);
-    EXPECT_EQ(link.transfers(), 1u);
-    EXPECT_EQ(link.total_bytes(), 32'000'000'000ull);
-    link.reset();
-    EXPECT_EQ(link.transfers(), 0u);
-}
-
-TEST(PcieLink, EstimateDoesNotRecord)
-{
-    sim::PcieLink link(sim::rtx3090());
-    link.estimate(1000);
-    EXPECT_EQ(link.transfers(), 0u);
 }
 
 TEST(DeviceMemory, LedgerTracksAllocations)

@@ -143,10 +143,9 @@ if [[ "${FASTGL_NO_PERF:-0}" != "1" ]]; then
     bench_gate BENCH_compute.json '"identical": true' \
         '"identical": false'
 
-    # Feature-gather smoke: GatherEngine panels, the fused gather+cache
-    # accounting pass, and the one-pass FrequencyHashmap presample vs
-    # their in-bench legacy replicas (the verbatim pre-engine staging
-    # paths). The bench exits non-zero when any FNV witness diverges —
+    # Feature-gather smoke: GatherEngine panels at widths 1/2/4/8 and
+    # the one-pass FrequencyHashmap presample vs their in-bench legacy
+    # replicas (the verbatim pre-engine staging paths). The bench exits non-zero when any FNV witness diverges —
     # the fast paths must be bit-identical to the legacy loops — and
     # the explicit grep below keeps a witness mismatch fatal even if
     # the exit-code plumbing ever regresses. Speedups are archived,
