@@ -11,9 +11,13 @@
 #include "core/async_pipeline.h"
 #include "core/pipeline.h"
 #include "graph/datasets.h"
+#include "util/fnv.h"
 
 namespace fastgl {
 namespace {
+
+using util::double_bits;
+using util::fnv;
 
 const graph::Dataset &
 products()
@@ -146,6 +150,107 @@ TEST(Determinism, PhaseBreakdownStableAcrossEpochReplay)
     expect_identical(ra, rb);
     EXPECT_EQ(ra.phases.total(), rb.phases.total());
     EXPECT_EQ(ra.phases.sample_total(), rb.phases.sample_total());
+}
+
+/** One preset of the pinned run_epoch digest. */
+struct DigestCase
+{
+    const char *name;
+    core::Framework framework;
+    bool random_walk;
+    uint64_t golden;
+};
+
+/**
+ * Pinned from reference runs of the sequential run_epoch; move only
+ * when sampling, Match/Reorder, the cost model or the epoch
+ * aggregation change behaviour. One GPU and 20 batches give one
+ * default-size Reorder window of 16 and one of 4 per epoch.
+ */
+constexpr DigestCase kDigestCases[] = {
+    {"fastgl", core::Framework::kFastGL, false,
+     0xDC447306ABFD74D3ULL},
+    {"gnnlab", core::Framework::kGnnLab, false,
+     0x71192302BA8623F0ULL},
+    {"dgl", core::Framework::kDgl, false,
+     0x8B8727818395A3F7ULL},
+    {"pyg", core::Framework::kPyG, false,
+     0x5FF2FA24A510BB66ULL},
+    {"fastgl_walk", core::Framework::kFastGL, true,
+     0xC7ADBEFB5F2786A5ULL},
+};
+
+core::PipelineOptions
+digest_options(const DigestCase &c)
+{
+    core::PipelineOptions opts;
+    opts.fw = core::framework_preset(c.framework);
+    opts.num_gpus = 1;
+    opts.batch_size = 24; // 21 batches of the replica's 503 seeds
+    opts.max_batches = 20;
+    opts.use_random_walk = c.random_walk;
+    return opts;
+}
+
+/** Every EpochResult field and trainer 0's stage times, bit for bit. */
+uint64_t
+fold_epoch(uint64_t h, const core::EpochResult &r,
+           const std::vector<core::BatchStageTimes> &stages)
+{
+    for (double x : {r.phases.sample, r.phases.id_map, r.phases.io,
+                     r.phases.compute, r.phases.allreduce,
+                     r.epoch_seconds})
+        h = fnv(h, double_bits(x));
+    for (int64_t v : {r.batches, r.nodes_loaded, r.nodes_reused,
+                      r.cache_hits, r.sampled_instances, r.unique_nodes})
+        h = fnv(h, static_cast<uint64_t>(v));
+    h = fnv(h, r.bytes_loaded);
+    h = fnv(h, stages.size());
+    for (const core::BatchStageTimes &s : stages) {
+        h = fnv(h, double_bits(s.sample));
+        h = fnv(h, double_bits(s.io));
+        h = fnv(h, double_bits(s.compute));
+    }
+    return h;
+}
+
+/** Two epochs of @p run_epoch, folded; @p stages reads its stage times. */
+template <typename RunEpoch, typename Stages>
+uint64_t
+two_epoch_digest(RunEpoch &&run_epoch, Stages &&stages)
+{
+    uint64_t h = util::kFnvOffset;
+    for (int epoch = 0; epoch < 2; ++epoch) {
+        const core::EpochResult r = run_epoch();
+        h = fold_epoch(h, r, stages());
+    }
+    return h;
+}
+
+TEST(Determinism, PipelineEpochDigestIsPinned)
+{
+    for (const DigestCase &c : kDigestCases) {
+        core::Pipeline seq(products(), digest_options(c));
+        const uint64_t digest = two_epoch_digest(
+            [&] { return seq.run_epoch(); },
+            [&] { return seq.last_epoch_stage_times(); });
+        EXPECT_EQ(digest, c.golden) << c.name;
+        EXPECT_EQ(seq.last_epoch_stage_times().size(), 20u) << c.name;
+
+        for (int threads : {1, 4}) {
+            core::AsyncPipelineOptions async;
+            async.sampler_threads = threads;
+            core::AsyncPipeline pipe(products(), digest_options(c), async);
+            EXPECT_EQ(two_epoch_digest(
+                          [&] { return pipe.run_epoch(); },
+                          [&] {
+                              return pipe.modelled()
+                                  .last_epoch_stage_times();
+                          }),
+                      c.golden)
+                << c.name << " at " << threads << " sampler thread(s)";
+        }
+    }
 }
 
 } // namespace
