@@ -81,7 +81,7 @@ AsyncPipeline::run_epoch()
     struct WindowItem
     {
         WindowRef ref;
-        std::vector<sample::SampledSubgraph> subgraphs;
+        Pipeline::SampledWindow sampled;
     };
     struct ComputeItem
     {
@@ -165,15 +165,14 @@ AsyncPipeline::run_epoch()
                 const WindowRef &ref = windows[wi];
                 const auto &batches =
                     plan.per_gpu[static_cast<size_t>(ref.gpu)];
-                WindowItem item;
-                item.ref = ref;
-                item.subgraphs.reserve(ref.end - ref.begin);
+                WindowItem item{ref, Pipeline::SampledWindow(
+                                         ref.end - ref.begin)};
                 const Clock::time_point t0 = Clock::now();
                 for (size_t i = ref.begin; i < ref.end; ++i) {
                     if (async_.sample_hook)
                         async_.sample_hook(batches[i]);
-                    item.subgraphs.push_back(
-                        sampler.sample(pipeline_, epoch, batches[i]));
+                    sampler.fill(pipeline_, epoch, batches[i],
+                                 item.sampled, i - ref.begin);
                 }
                 busy += seconds_since(t0);
                 if (!batch_queue.push(std::move(item)))
@@ -205,11 +204,11 @@ AsyncPipeline::run_epoch()
                     const Clock::time_point t0 = Clock::now();
                     const std::vector<size_t> order =
                         pipeline_.window_order(state.matcher,
-                                               window.subgraphs);
+                                               window.sampled);
                     bool queue_open = true;
                     for (size_t k = 0; k < order.size(); ++k) {
                         sample::SampledSubgraph &sg =
-                            window.subgraphs[order[k]];
+                            window.sampled.subgraphs[order[k]];
                         ComputeItem ci;
                         ci.gpu = window.ref.gpu;
                         ci.position = window.ref.begin + k;
@@ -217,7 +216,8 @@ AsyncPipeline::run_epoch()
                             plan.per_gpu[static_cast<size_t>(
                                 window.ref.gpu)][ci.position];
                         ci.record = pipeline_.plan_transfer(
-                            sg, state.matcher);
+                            sg, window.sampled.sets[order[k]],
+                            state.matcher);
                         ci.sg = std::move(sg);
                         if (!compute_queue.push(std::move(ci))) {
                             queue_open = false;

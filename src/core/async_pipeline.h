@@ -91,7 +91,12 @@ struct AsyncEpochStats
  *
  *   sampler threads ──windows──> gather/sequencer ──batches──> compute
  *   (per-thread sampler,          (per-GPU in-order:            (cost
- *    per-batch RNG stream)         Reorder + Match + cache)      model)
+ *    per-batch RNG stream,         Reorder + Match + cache)      model)
+ *    Match sets)
+ *
+ * A producer builds each batch's Match set as it samples it
+ * (Pipeline::ThreadSampler::fill), so Reorder and Match share one set
+ * per batch. Producers never submit work to Pipeline's window pool.
  *
  * Exceptions thrown in any stage fail both queues, wind every thread
  * down, and rethrow from run_epoch(). request_stop() closes the queues

@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "match/reorder.h"
 #include "sample/frequency_hashmap.h"
@@ -194,8 +195,26 @@ Pipeline::ThreadSampler::sample(const Pipeline &pipe, int64_t epoch,
     return khop ? khop->sample(seeds, seed) : walk->sample(seeds, seed);
 }
 
+void
+Pipeline::ThreadSampler::fill(const Pipeline &pipe, int64_t epoch,
+                              int64_t index, SampledWindow &window,
+                              size_t slot)
+{
+    window.subgraphs[slot] = sample(pipe, epoch, index);
+    if (pipe.runs_match())
+        window.sets[slot] = match::NodeSet(window.subgraphs[slot].nodes);
+}
+
+bool
+Pipeline::runs_match() const
+{
+    return opts_.fw.io == IoStrategy::kMatch ||
+           opts_.fw.io == IoStrategy::kMatchReorder;
+}
+
 Pipeline::BatchRecord
 Pipeline::plan_transfer(const sample::SampledSubgraph &sg,
+                        const match::NodeSet &set,
                         match::Matcher &matcher) const
 {
     BatchRecord rec;
@@ -238,7 +257,6 @@ Pipeline::plan_transfer(const sample::SampledSubgraph &sg,
       }
       case IoStrategy::kMatch:
       case IoStrategy::kMatchReorder: {
-        match::NodeSet set(sg.nodes);
         match::TransferPlan plan = matcher.plan(set);
         rec.reused = plan.overlap_nodes;
         if (cache_ && opts_.fw.cache_on_top_of_match) {
@@ -267,8 +285,7 @@ Pipeline::plan_transfer(const sample::SampledSubgraph &sg,
     rec.io = spec_.pcie_latency +
              contention * (double(rec.bytes) / spec_.pcie_bw +
                            double(feature_bytes) / spec_.host_gather_bw);
-    if (opts_.fw.io == IoStrategy::kMatch ||
-        opts_.fw.io == IoStrategy::kMatchReorder) {
+    if (runs_match()) {
         // FastGL prefetches the next subgraph's topology during the
         // current batch's computation (paper Section 6.5); that part of
         // the transfer vanishes from the critical path.
@@ -287,9 +304,10 @@ Pipeline::compute_time(const sample::SampledSubgraph &sg) const
 
 Pipeline::BatchRecord
 Pipeline::process_batch(const sample::SampledSubgraph &sg,
+                        const match::NodeSet &set,
                         match::Matcher &matcher) const
 {
-    BatchRecord rec = plan_transfer(sg, matcher);
+    BatchRecord rec = plan_transfer(sg, set, matcher);
     rec.compute = compute_time(sg);
     return rec;
 }
@@ -316,36 +334,57 @@ Pipeline::plan_epoch()
 }
 
 util::ThreadPool *
-Pipeline::reorder_pool(size_t num_sets) const
+Pipeline::window_pool(size_t num_batches) const
 {
-    // Below this window size the O(n²) intersection work is too small
-    // to amortise handing chunks to workers.
+    // Below this window size the sampling and the O(n²) intersection
+    // work are too small to amortise handing chunks to workers.
     constexpr size_t kParallelWindowThreshold = 8;
-    if (num_sets < kParallelWindowThreshold)
+    if (num_batches < kParallelWindowThreshold)
         return nullptr;
-    std::call_once(match_pool_once_, [this] {
+    std::call_once(window_pool_once_, [this] {
         const unsigned hw = std::thread::hardware_concurrency();
-        match_pool_ = std::make_unique<util::ThreadPool>(
+        window_pool_ = std::make_unique<util::ThreadPool>(
             std::min<size_t>(hw == 0 ? 2 : hw, 8));
     });
-    return match_pool_.get();
+    return window_pool_.get();
+}
+
+Pipeline::SampledWindow
+Pipeline::sample_window(std::span<const int64_t> batches)
+{
+    SampledWindow window(batches.size());
+    util::ThreadPool *pool = window_pool(batches.size());
+    const size_t shards =
+        pool ? std::min(batches.size(), pool->size()) : 1;
+    while (shard_samplers_.size() + 1 < shards)
+        shard_samplers_.push_back(std::make_unique<ThreadSampler>(*this));
+    auto fill_shard = [&](size_t s) {
+        ThreadSampler &sampler =
+            s == 0 ? sampler_ : *shard_samplers_[s - 1];
+        for (size_t i = s; i < batches.size(); i += shards)
+            sampler.fill(*this, epoch_, batches[i], window, i);
+    };
+    if (shards == 1) {
+        fill_shard(0);
+        return window;
+    }
+    pool->parallel_for(shards, [&](size_t begin, size_t end) {
+        for (size_t s = begin; s < end; ++s)
+            fill_shard(s);
+    });
+    return window;
 }
 
 std::vector<size_t>
-Pipeline::window_order(
-    const match::Matcher &matcher,
-    const std::vector<sample::SampledSubgraph> &subgraphs) const
+Pipeline::window_order(const match::Matcher &matcher,
+                       const SampledWindow &window) const
 {
-    std::vector<size_t> order(subgraphs.size());
-    for (size_t i = 0; i < order.size(); ++i)
-        order[i] = i;
+    const std::vector<match::NodeSet> &sets = window.sets;
+    std::vector<size_t> order(sets.size());
+    std::iota(order.begin(), order.end(), size_t(0));
     const bool reorder = opts_.fw.io == IoStrategy::kMatchReorder &&
                          opts_.reorder_window > 1;
-    if (reorder && subgraphs.size() > 1) {
-        std::vector<match::NodeSet> sets;
-        sets.reserve(subgraphs.size());
-        for (const auto &sg : subgraphs)
-            sets.emplace_back(sg.nodes);
+    if (reorder && sets.size() > 1) {
         // Chain on raw overlap counts (= the rows Match saves),
         // anchored at the batch resident on the GPU from the
         // previous window so the hand-over also reuses. The pairwise
@@ -355,7 +394,7 @@ Pipeline::window_order(
             matcher.resident().size() > 0 ? &matcher.resident()
                                           : nullptr;
         match::ReorderResult rr = match::greedy_reorder_max_overlap(
-            anchor, sets, reorder_pool(sets.size()));
+            anchor, sets, window_pool(sets.size()));
         for (size_t i = 0; i < order.size(); ++i)
             order[i] = static_cast<size_t>(rr.order[i]);
     }
@@ -367,29 +406,23 @@ Pipeline::run_epoch()
 {
     const EpochPlan plan = plan_epoch();
     const int total = static_cast<int>(plan.per_gpu.size());
-    const int64_t window = plan.window;
+    const size_t window = static_cast<size_t>(plan.window);
 
     std::vector<std::vector<BatchRecord>> records(
         static_cast<size_t>(total));
 
     for (int g = 0; g < total; ++g) {
         match::Matcher matcher;
-        const auto &batches = plan.per_gpu[static_cast<size_t>(g)];
-        for (size_t w = 0; w < batches.size();
-             w += static_cast<size_t>(window)) {
-            const size_t end = std::min(
-                batches.size(), w + static_cast<size_t>(window));
-
+        const std::span<const int64_t> batches =
+            plan.per_gpu[static_cast<size_t>(g)];
+        for (size_t w = 0; w < batches.size(); w += window) {
             // Sample the window up front (paper Fig. 5: the Map-Fused
             // Sampler produces n mini-batches before Reorder runs).
-            std::vector<sample::SampledSubgraph> subgraphs;
-            subgraphs.reserve(end - w);
-            for (size_t i = w; i < end; ++i)
-                subgraphs.push_back(sample_batch(epoch_, batches[i]));
-
-            for (size_t i : window_order(matcher, subgraphs)) {
-                records[static_cast<size_t>(g)].push_back(
-                    process_batch(subgraphs[i], matcher));
+            const SampledWindow sampled = sample_window(
+                batches.subspan(w, std::min(window, batches.size() - w)));
+            for (size_t i : window_order(matcher, sampled)) {
+                records[static_cast<size_t>(g)].push_back(process_batch(
+                    sampled.subgraphs[i], sampled.sets[i], matcher));
             }
         }
     }

@@ -8,6 +8,12 @@
  * 9, 10, 13, 14, 15): the sampling, hashing, matching and caching all
  * really execute; the seconds come from sim::KernelModel, and a batch's
  * PCIe seconds from the formula in plan_transfer.
+ *
+ * run_epoch samples each Reorder window's batches in parallel on the
+ * window pool, and the task that samples a batch also builds its
+ * match::NodeSet. Reorder and Match then run on the calling thread in
+ * window order. Each batch is a pure function of (epoch, index), so the
+ * results are the same bits at any pool width.
  */
 #pragma once
 
@@ -15,6 +21,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "compute/compute_cost.h"
@@ -149,9 +156,24 @@ class Pipeline
     };
 
     /**
+     * One Reorder window's sampled batches, in plan order. sets[i] is
+     * subgraphs[i]'s Match set, built by the thread that sampled it;
+     * it stays empty unless the preset runs Match.
+     */
+    struct SampledWindow
+    {
+        SampledWindow() = default;
+        explicit SampledWindow(size_t n) : subgraphs(n), sets(n) {}
+
+        std::vector<sample::SampledSubgraph> subgraphs;
+        std::vector<match::NodeSet> sets;
+    };
+
+    /**
      * The pipeline's k-hop or random-walk sampler. The pipeline holds
-     * one for sample_batch and each concurrent producer builds its
-     * own: instances are not shareable across threads, but any
+     * one per window-pool shard (shard 0 is sampler_, which
+     * sample_batch also uses) and each AsyncPipeline producer builds
+     * its own: instances are not shareable across threads, but any
      * instance yields identical output for the same (epoch, index)
      * because sampling draws from a per-batch derived RNG stream.
      */
@@ -162,6 +184,13 @@ class Pipeline
         /** Identical output to pipe.sample_batch(epoch, index). */
         sample::SampledSubgraph sample(const Pipeline &pipe,
                                        int64_t epoch, int64_t index);
+
+        /**
+         * Sample batch @p index into slot @p slot of @p window and,
+         * when the preset runs Match, build its NodeSet there too.
+         */
+        void fill(const Pipeline &pipe, int64_t epoch, int64_t index,
+                  SampledWindow &window, size_t slot);
 
         std::unique_ptr<sample::NeighborSampler> khop;
         std::unique_ptr<sample::RandomWalkSampler> walk;
@@ -180,25 +209,44 @@ class Pipeline
      */
     sample::SampledSubgraph sample_batch(int64_t epoch, int64_t index);
 
-    /** Reorder decision for one window against the resident batch. */
-    std::vector<size_t> window_order(
-        const match::Matcher &matcher,
-        const std::vector<sample::SampledSubgraph> &subgraphs) const;
+    /** True when the preset ships batches through Match. */
+    bool runs_match() const;
+
+    /**
+     * Sample @p batches of the current epoch, with their Match sets.
+     * A window big enough for window_pool is sharded over the pool:
+     * shard s of S fills slots s, s + S, ... with its own
+     * ThreadSampler.
+     */
+    SampledWindow sample_window(std::span<const int64_t> batches);
+
+    /**
+     * Reorder decision for one window against the resident batch,
+     * chained on the window's own Match sets.
+     */
+    std::vector<size_t> window_order(const match::Matcher &matcher,
+                                     const SampledWindow &window) const;
 
     /**
      * Sample/id-map/io accounting for one batch — everything except the
-     * compute phase. Mutates only @p matcher (caller-owned, per GPU) and
-     * the cache's atomic statistics; safe to run concurrently across
-     * GPUs.
+     * compute phase. @p set is @p sg's Match set (unused unless the
+     * preset runs Match). Mutates only @p matcher (caller-owned, per
+     * GPU) and the cache's atomic statistics; safe to run concurrently
+     * across GPUs.
      */
     BatchRecord plan_transfer(const sample::SampledSubgraph &sg,
+                              const match::NodeSet &set,
                               match::Matcher &matcher) const;
 
     /** Modelled compute seconds of one batch (pure). */
     double compute_time(const sample::SampledSubgraph &sg) const;
 
-    /** plan_transfer + compute_time in one step (sequential path). */
+    /**
+     * plan_transfer + compute_time in one step: run_epoch's path.
+     * AsyncPipeline runs the two on separate stages.
+     */
     BatchRecord process_batch(const sample::SampledSubgraph &sg,
+                              const match::NodeSet &set,
                               match::Matcher &matcher) const;
 
     /** Aggregate per-GPU records into the epoch result (work + wall). */
@@ -209,16 +257,17 @@ class Pipeline
     void build_cache();
 
     /**
-     * Shared worker pool for the O(n²) Reorder set algebra, created
-     * lazily the first time a window is big enough to benefit (small
-     * windows stay sequential — the fork/join overhead would dominate).
-     * Thread safe: gather threads of the overlapped executor call
+     * Shared worker pool for a window's sampling (run_epoch only) and
+     * its O(n²) Reorder set algebra, created lazily the first time a
+     * window is big enough to benefit (windows under 8 batches stay
+     * sequential — the fork/join overhead would dominate). Thread
+     * safe: gather threads of the overlapped executor call
      * window_order concurrently, and both the lazy construction
-     * (call_once) and ThreadPool::submit are safe under contention. The
-     * row-sharded matrix is bit-identical for any worker count, so the
-     * pool never changes results.
+     * (call_once) and ThreadPool::submit are safe under contention.
+     * Sampled batches and the row-sharded matrix are bit-identical for
+     * any worker count, so the pool never changes results.
      */
-    util::ThreadPool *reorder_pool(size_t num_sets) const;
+    util::ThreadPool *window_pool(size_t num_batches) const;
 
     const graph::Dataset &dataset_;
     PipelineOptions opts_;
@@ -226,8 +275,13 @@ class Pipeline
     sim::KernelModel kernels_;
     compute::ComputeCostModel cost_model_;
     sample::BatchSplitter splitter_;
-    /** sample_batch's sampler; built from opts_ and dataset_ above. */
+    /**
+     * sample_batch's sampler and window shard 0's; built from opts_
+     * and dataset_ above.
+     */
     ThreadSampler sampler_;
+    /** Samplers of window shards 1, 2, ..., built on first use. */
+    std::vector<std::unique_ptr<ThreadSampler>> shard_samplers_;
     std::optional<match::StaticFeatureCache> cache_;
     int64_t cache_rows_ = 0;
     int trainers_ = 1;
@@ -235,8 +289,8 @@ class Pipeline
     uint64_t param_bytes_ = 0;
     int epoch_ = 0;
     std::vector<BatchStageTimes> last_stages_;
-    mutable std::once_flag match_pool_once_;
-    mutable std::unique_ptr<util::ThreadPool> match_pool_;
+    mutable std::once_flag window_pool_once_;
+    mutable std::unique_ptr<util::ThreadPool> window_pool_;
 };
 
 /** Analytic parameter byte count for @p config (no model instantiation). */

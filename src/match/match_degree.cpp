@@ -71,11 +71,66 @@ intersect_sorted(std::span<const graph::NodeId> a,
     return detail::intersect_merge(a, b);
 }
 
-NodeSet::NodeSet(const std::vector<graph::NodeId> &nodes) : sorted_(nodes)
+namespace {
+
+/**
+ * One bitmap per thread, shared by NodeSet construction and the matrix
+ * rows. Every user leaves it all-zero, and the two never nest.
+ */
+util::Bitmap &
+thread_bitmap()
 {
-    std::sort(sorted_.begin(), sorted_.end());
-    sorted_.erase(std::unique(sorted_.begin(), sorted_.end()),
-                  sorted_.end());
+    static thread_local util::Bitmap bitmap;
+    return bitmap;
+}
+
+/**
+ * max - min + 1 when @p n ids over [@p lo, @p hi] are dense enough for
+ * a bitmap (detail::kBitmapMinSize, detail::kBitmapMinDensity), else 0.
+ * The difference is taken unsigned, so no span overflows or wraps to a
+ * small one.
+ */
+uint64_t
+dense_span(size_t n, graph::NodeId lo, graph::NodeId hi)
+{
+    if (n < detail::kBitmapMinSize)
+        return 0;
+    const uint64_t diff =
+        static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    const double span = static_cast<double>(diff) + 1.0;
+    return static_cast<double>(n) >= detail::kBitmapMinDensity * span
+               ? diff + 1
+               : 0;
+}
+
+} // namespace
+
+NodeSet::NodeSet(const std::vector<graph::NodeId> &nodes)
+{
+    uint64_t span = 0;
+    graph::NodeId base = 0;
+    if (nodes.size() >= detail::kBitmapMinSize) {
+        const auto [lo, hi] =
+            std::minmax_element(nodes.begin(), nodes.end());
+        base = *lo;
+        span = dense_span(nodes.size(), *lo, *hi);
+    }
+    if (span == 0) {
+        sorted_ = nodes;
+        std::sort(sorted_.begin(), sorted_.end());
+        sorted_.erase(std::unique(sorted_.begin(), sorted_.end()),
+                      sorted_.end());
+        return;
+    }
+    // Dense: mark each id, then read the marks out in ascending order
+    // (drain zeroes the bitmap again). Same output as sort + unique.
+    util::Bitmap &bitmap = thread_bitmap();
+    bitmap.resize(static_cast<size_t>(span));
+    for (graph::NodeId v : nodes)
+        bitmap.set(static_cast<size_t>(static_cast<uint64_t>(v) -
+                                       static_cast<uint64_t>(base)));
+    sorted_.reserve(nodes.size());
+    bitmap.drain(static_cast<size_t>(span), base, sorted_);
 }
 
 int64_t
@@ -124,26 +179,20 @@ template <typename Emit>
 void
 intersect_row(const std::vector<NodeSet> &sets, size_t i, Emit &&emit)
 {
-    static thread_local util::Bitmap bitmap;
-
     const size_t n = sets.size();
     const auto &a = sets[i].sorted();
     const size_t cols = n - i - 1;
 
-    uint64_t span = 0;
-    bool use_bitmap = false;
-    if (!a.empty() && cols >= 2 && a.size() >= detail::kBitmapMinSize) {
-        span = static_cast<uint64_t>(a.back() - a.front()) + 1;
-        use_bitmap = static_cast<double>(a.size()) >=
-                     detail::kBitmapMinDensity * static_cast<double>(span);
-    }
-
-    if (!use_bitmap) {
+    const uint64_t span = !a.empty() && cols >= 2
+                              ? dense_span(a.size(), a.front(), a.back())
+                              : 0;
+    if (span == 0) {
         for (size_t j = i + 1; j < n; ++j)
             emit(j, intersect_sorted(a, sets[j].sorted()));
         return;
     }
 
+    util::Bitmap &bitmap = thread_bitmap();
     const graph::NodeId base = a.front();
     bitmap.resize(static_cast<size_t>(span));
     bitmap.load<graph::NodeId>(a, base);
@@ -153,7 +202,8 @@ intersect_row(const std::vector<NodeSet> &sets, size_t i, Emit &&emit)
         for (graph::NodeId v : b) {
             if (v < base)
                 continue;
-            const auto rel = static_cast<uint64_t>(v - base);
+            const uint64_t rel = static_cast<uint64_t>(v) -
+                                 static_cast<uint64_t>(base);
             if (rel >= span)
                 break;
             count += bitmap.test(static_cast<size_t>(rel)) ? 1 : 0;

@@ -43,12 +43,15 @@ int64_t intersect_gallop(std::span<const graph::NodeId> small,
 /** Size ratio at which galloping beats the merge (measured, ~8). */
 inline constexpr size_t kGallopRatio = 8;
 
-/** Minimum set size before a bitmap row build can pay for itself. */
+/**
+ * Minimum set size before a bitmap row build or a bitmap NodeSet build
+ * can pay for itself.
+ */
 inline constexpr size_t kBitmapMinSize = 128;
 
 /**
- * Minimum |set| / (max - min + 1) density for the bitmap path; sparser
- * sets span too many cache lines per probe.
+ * Minimum |set| / (max - min + 1) density for the bitmap paths; sparser
+ * sets span too many cache lines per probe or per scan.
  */
 inline constexpr double kBitmapMinDensity = 1.0 / 64.0;
 
@@ -67,7 +70,14 @@ class NodeSet
   public:
     NodeSet() = default;
 
-    /** Build from an arbitrary node list (copies, sorts, dedups). */
+    /**
+     * Build from an arbitrary node list: its ids, sorted, without
+     * duplicates. Dense input (at least detail::kBitmapMinSize ids at
+     * density >= detail::kBitmapMinDensity over [min, max]) is not
+     * sorted: its ids mark a thread-local bitmap, which is read out in
+     * ascending order and left clear. Other input is copied, sorted
+     * and deduplicated. Both routes give the same set.
+     */
     explicit NodeSet(const std::vector<graph::NodeId> &nodes);
 
     /** Number of unique nodes. */

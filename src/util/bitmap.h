@@ -10,7 +10,9 @@
  * sorted ID list can unset exactly those bits afterwards, returning the
  * bitmap to all-zero in O(|list|) instead of O(universe / 64). That is
  * what lets one thread-local bitmap serve every row of a match-degree
- * matrix without per-row memsets.
+ * matrix without per-row memsets. drain() is the dense counterpart: it
+ * reads the set bits out in ascending order and zeroes the words as it
+ * goes, which is how match::NodeSet sorts a dense ID list.
  */
 #pragma once
 
@@ -93,7 +95,8 @@ class Bitmap
     load(std::span<const Id> ids, Id base)
     {
         for (Id id : ids) {
-            const auto rel = static_cast<uint64_t>(id - base);
+            const uint64_t rel =
+                static_cast<uint64_t>(id) - static_cast<uint64_t>(base);
             if (id >= base && rel < num_bits_)
                 set(static_cast<size_t>(rel));
         }
@@ -105,9 +108,34 @@ class Bitmap
     unload(std::span<const Id> ids, Id base)
     {
         for (Id id : ids) {
-            const auto rel = static_cast<uint64_t>(id - base);
+            const uint64_t rel =
+                static_cast<uint64_t>(id) - static_cast<uint64_t>(base);
             if (id >= base && rel < num_bits_)
                 unset(static_cast<size_t>(rel));
+        }
+    }
+
+    /**
+     * Append base + i for every set bit i below @p num_bits to @p out,
+     * ascending, and zero every word it reads. After a load of ids that
+     * all lie in [base, base + num_bits) the bitmap is all-zero again:
+     * the touched reset of a dense load, with no per-id unload pass.
+     */
+    template <typename Id>
+    void
+    drain(size_t num_bits, Id base, std::vector<Id> &out)
+    {
+        const size_t words = (num_bits + 63) / 64;
+        for (size_t w = 0; w < words; ++w) {
+            uint64_t word = words_[w];
+            words_[w] = 0;
+            while (word != 0) {
+                const uint64_t bit =
+                    uint64_t(w) * 64 + uint64_t(std::countr_zero(word));
+                out.push_back(static_cast<Id>(
+                    static_cast<uint64_t>(base) + bit));
+                word &= word - 1;
+            }
         }
     }
 
@@ -123,7 +151,8 @@ class Bitmap
         for (Id id : ids) {
             if (id < base)
                 continue;
-            const auto rel = static_cast<uint64_t>(id - base);
+            const uint64_t rel =
+                static_cast<uint64_t>(id) - static_cast<uint64_t>(base);
             if (rel >= num_bits_)
                 break;
             hits += test(static_cast<size_t>(rel)) ? 1 : 0;

@@ -5,7 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <future>
+#include <limits>
 #include <numeric>
 #include <string>
 
@@ -15,6 +18,7 @@
 #include "match/match_degree.h"
 #include "match/reorder.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace fastgl {
 namespace {
@@ -26,6 +30,122 @@ TEST(NodeSet, SortsAndDedups)
     EXPECT_EQ(set.sorted(), (std::vector<graph::NodeId>{1, 3, 5}));
     EXPECT_TRUE(set.contains(3));
     EXPECT_FALSE(set.contains(4));
+}
+
+std::vector<graph::NodeId>
+sort_unique(std::vector<graph::NodeId> nodes)
+{
+    std::sort(nodes.begin(), nodes.end());
+    nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+    return nodes;
+}
+
+/** @p count ids drawn with replacement from [lo, lo + span). */
+std::vector<graph::NodeId>
+draw(util::Rng &rng, size_t count, graph::NodeId lo, uint64_t span)
+{
+    std::vector<graph::NodeId> nodes;
+    for (size_t i = 0; i < count; ++i)
+        nodes.push_back(static_cast<graph::NodeId>(
+            static_cast<uint64_t>(lo) + rng.next_below(span)));
+    return nodes;
+}
+
+template <typename T>
+void
+shuffle(util::Rng &rng, std::vector<T> &v)
+{
+    for (size_t i = v.size(); i > 1; --i)
+        std::swap(v[i - 1], v[rng.next_below(i)]);
+}
+
+/**
+ * @p count distinct ids over exactly [lo, lo + span): both ends, then
+ * distinct interior ids, shuffled.
+ */
+std::vector<graph::NodeId>
+distinct_over(util::Rng &rng, size_t count, graph::NodeId lo,
+              uint64_t span)
+{
+    std::vector<uint64_t> interior(span - 2);
+    std::iota(interior.begin(), interior.end(), uint64_t(1));
+    shuffle(rng, interior);
+    const auto at = [lo](uint64_t rel) {
+        return static_cast<graph::NodeId>(static_cast<uint64_t>(lo) + rel);
+    };
+    std::vector<graph::NodeId> nodes = {at(0), at(span - 1)};
+    for (size_t i = 0; i + 2 < count; ++i)
+        nodes.push_back(at(interior[i]));
+    shuffle(rng, nodes);
+    return nodes;
+}
+
+TEST(NodeSet, DenseBuildMatchesSortUniqueReference)
+{
+    using Limits = std::numeric_limits<graph::NodeId>;
+    constexpr graph::NodeId kMin = Limits::min();
+    constexpr graph::NodeId kMax = Limits::max();
+    util::Rng rng(2024);
+    std::vector<std::pair<std::string, std::vector<graph::NodeId>>> cases;
+    cases.emplace_back("duplicates", draw(rng, 4000, 0, 900));
+    for (uint64_t span : {129, 190, 255, 257, 1000, 4095})
+        cases.emplace_back("span " + std::to_string(span),
+                           draw(rng, 600, 0, span));
+    cases.emplace_back("base > 0", draw(rng, 3000, 1000003, 5000));
+    cases.emplace_back("n = 127", draw(rng, 127, 40, 300));
+    cases.emplace_back("n = 128", draw(rng, 128, 40, 300));
+    // Density exactly 1/64 (128 ids over 8192), then just below it.
+    cases.emplace_back("density 1/64",
+                       distinct_over(rng, 128, 77, 8192));
+    cases.emplace_back("density below 1/64",
+                       distinct_over(rng, 128, 77, 8193));
+    cases.emplace_back("sparse", draw(rng, 2000, 5, uint64_t(1) << 40));
+    cases.emplace_back("negative", draw(rng, 2000, -1500, 2600));
+    cases.emplace_back("at the minimum", draw(rng, 500, kMin, 700));
+    cases.emplace_back("at the maximum",
+                       draw(rng, 500, kMax - 699, 700));
+    std::vector<graph::NodeId> extremes = draw(rng, 500, -50, 600);
+    extremes.push_back(kMin);
+    extremes.push_back(kMax);
+    cases.emplace_back("extremes and a dense block", extremes);
+    cases.emplace_back("empty", std::vector<graph::NodeId>{});
+    for (const auto &[name, nodes] : cases) {
+        EXPECT_EQ(match::NodeSet(nodes).sorted(), sort_unique(nodes))
+            << name;
+    }
+
+    // A wide build, then narrow ones on the same thread: a bit the wide
+    // build left set would surface in the narrow sets.
+    for (uint64_t wide : {100003, 64 * 1000}) {
+        const auto big = draw(rng, size_t(wide / 2), 0, wide);
+        EXPECT_EQ(match::NodeSet(big).sorted(), sort_unique(big));
+        for (uint64_t narrow : {130, 200, 4097}) {
+            const auto small = draw(rng, 128, 0, narrow);
+            EXPECT_EQ(match::NodeSet(small).sorted(), sort_unique(small))
+                << "narrow " << narrow << " after wide " << wide;
+        }
+    }
+
+    // Four pool threads build at once, each on its own bitmap.
+    util::ThreadPool pool(4);
+    std::vector<std::future<int>> mismatches;
+    for (uint64_t t = 0; t < 4; ++t) {
+        mismatches.push_back(pool.submit([t] {
+            util::Rng local(100 + t);
+            int bad = 0;
+            for (int round = 0; round < 40; ++round) {
+                const uint64_t span = 150 + local.next_below(20000);
+                const auto nodes = draw(
+                    local, 128 + size_t(local.next_below(span)),
+                    graph::NodeId(local.next_below(1000)) - 500, span);
+                bad += match::NodeSet(nodes).sorted() !=
+                       sort_unique(nodes);
+            }
+            return bad;
+        }));
+    }
+    for (auto &f : mismatches)
+        EXPECT_EQ(f.get(), 0);
 }
 
 TEST(NodeSet, IntersectionAndDifference)

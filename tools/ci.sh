@@ -9,7 +9,8 @@
 #                               # then the full ctest again under
 #                               # ASan+UBSan (Debug)
 #   FASTGL_TSAN=1 tools/ci.sh   # additionally run the concurrency
-#                               # suite under ThreadSanitizer
+#                               # suite (pools, pipelines, NodeSet
+#                               # builds) under ThreadSanitizer
 #
 # Environment:
 #   FASTGL_CI_JOBS   parallel build/test jobs (default: nproc)
@@ -57,12 +58,17 @@ cmake --build build-asan --target fastgl_tests fastgl_cli -j "$JOBS"
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
+# The concurrency suite under ThreadSanitizer. Pipeline. and
+# Determinism cover run_epoch sampling a Reorder window on the window
+# pool (Pipeline.MoreGpusReduceEpochTime and
+# Pipeline.MultiMachineSplitsWorkAndPaysNetwork reach a pooled window);
+# NodeSet covers bitmap builds on several threads at once.
 if [[ "${FASTGL_TSAN:-0}" == "1" ]]; then
     echo "==> ThreadSanitizer configuration (concurrency suite)"
     run_config build-tsan -DFASTGL_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-        -R 'BoundedQueue|ThreadPool|AsyncPipeline|Determinism|Serve|StageShutdown|ComputeKernels|Gather|FrequencyHashmap|FeaturePanel|MultiGpu|Partition|PeerTopology|OocStore|StorageLink|Prefetch|Profiler|Autoscale|ClosedLoop'
+        -R 'BoundedQueue|ThreadPool|AsyncPipeline|Pipeline\.|Determinism|NodeSet|Serve|StageShutdown|ComputeKernels|Gather|FrequencyHashmap|FeaturePanel|MultiGpu|Partition|PeerTopology|OocStore|StorageLink|Prefetch|Profiler|Autoscale|ClosedLoop'
 fi
 
 # Gate one archived bench JSON. Every bench archive must parse as JSON
@@ -202,19 +208,23 @@ if [[ "${FASTGL_NO_PERF:-0}" != "1" ]]; then
     bench_gate BENCH_traffic.json '"ok": true'
 
     # Host-clock benchmark: the report self-test, then short traced
-    # train and serve-logits runs. Each run exits non-zero unless its
-    # witnesses hold. The traced train replay, whose layers all
-    # compute their full input gradient, must reproduce train_epoch's
-    # losses bit for bit. serve-logits must return the same
-    # fingerprint from every call and no kUnprocessed response, and
-    # its replay's predictions must equal the server's. Timings are
-    # printed, not gated.
+    # train, serve-logits and model runs. Each run exits non-zero
+    # unless its witnesses hold. The traced train replay, whose layers
+    # all compute their full input gradient, must reproduce
+    # train_epoch's losses bit for bit. serve-logits must return the
+    # same fingerprint from every call and no kUnprocessed response,
+    # and its replay's predictions must equal the server's. The model
+    # replay samples each Reorder window one batch at a time; its
+    # reused-node total must equal that of run_epoch, which samples
+    # the window on the pool. Timings are printed, not gated.
     echo "==> host-clock benchmark smoke (perfbench)"
     python3 perfbench/test_report.py
     python3 perfbench/run.py --workload train --seed 1 --seconds 5 \
         --trace 1
     python3 perfbench/run.py --workload serve-logits --seed 1 \
         --seconds 5 --trace 1
+    python3 perfbench/run.py --workload model --seed 1 --seconds 5 \
+        --trace 1
 fi
 
 echo "==> CI OK"

@@ -453,24 +453,29 @@ usage_info()
 int
 run_model(const Args &args)
 {
-    graph::ReplicaOptions ropts;
-    ropts.materialize_features = false;
-    ropts.size_factor = double(args.get_int("scale-pct", 100)) / 100.0;
-    const graph::Dataset ds = graph::load_replica(
-        parse_dataset(args.get("dataset", "products")), ropts);
-
+    // Read every flag before the replica load; out-of-range values fail
+    // naming their flag instead of being coerced (0 keeps its
+    // documented meaning for --batch and --max-batches).
     core::PipelineOptions opts;
+    const int64_t scale_pct = args.get_int_at_least("scale-pct", 100, 1);
+    const graph::DatasetId dataset =
+        parse_dataset(args.get("dataset", "products"));
     opts.fw = core::framework_preset(
         parse_framework(args.get("framework", "fastgl")));
-    opts.num_gpus = int(args.get_int("gpus", 2));
-    opts.num_machines = int(args.get_int("machines", 1));
+    opts.num_gpus = int(args.get_int_at_least("gpus", 2, 1));
+    opts.num_machines = int(args.get_int_at_least("machines", 1, 1));
     opts.model.type = parse_model(args.get("model", "gcn"));
-    opts.batch_size = args.get_int("batch", 0);
-    opts.max_batches = args.get_int("max-batches", 0);
+    opts.batch_size = args.get_int_at_least("batch", 0, 0);
+    opts.max_batches = args.get_int_at_least("max-batches", 0, 0);
     opts.seed = uint64_t(args.get_int("seed", 1));
+    const int epochs = int(args.get_int_at_least("epochs", 1, 1));
+
+    graph::ReplicaOptions ropts;
+    ropts.materialize_features = false;
+    ropts.size_factor = double(scale_pct) / 100.0;
+    const graph::Dataset ds = graph::load_replica(dataset, ropts);
     core::Pipeline pipeline(ds, opts);
 
-    const int epochs = int(args.get_int("epochs", 1));
     std::printf("%s on %s, %d GPU(s) x %d machine(s), model %s\n",
                 opts.fw.name.c_str(), ds.name.c_str(), opts.num_gpus,
                 opts.num_machines,
@@ -524,7 +529,7 @@ run_train(const Args &args)
     opts.profile = args.has("profile") || !profile_json.empty();
     const std::string warmup_path = args.get("save-warmup", "");
     opts.record_node_frequencies = !warmup_path.empty();
-    const int epochs = int(args.get_int("epochs", 3));
+    const int epochs = int(args.get_int_at_least("epochs", 3, 1));
 
     graph::ReplicaOptions ropts;
     ropts.size_factor = double(scale_pct) / 100.0;
