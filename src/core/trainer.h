@@ -157,12 +157,6 @@ class Trainer
     compute::GnnModel &model() { return *model_; }
     const TrainerOptions &options() const { return opts_; }
 
-    /** The trainer's gather engine (stats, width introspection). */
-    const match::GatherEngine &gather_engine() const
-    {
-        return *gather_engine_;
-    }
-
     /** Feature cache, shards, partitioning, peer links and storage
      *  tier built from feature_cache_ratio, num_gpus and storage. */
     const store::FeatureResidency &residency() const

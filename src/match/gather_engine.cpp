@@ -1,11 +1,14 @@
 #include "match/gather_engine.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <mutex>
+#include <new>
+#include <optional>
 #include <utility>
 #include <vector>
 
-#include "util/arena.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -54,37 +57,63 @@ copy_row_simd(const float *src, float *dst, int64_t dim)
 } // namespace
 
 /**
- * Shared arena free list behind an engine's panels. Held by shared_ptr
- * from the engine AND from every outstanding lease, so returning a
- * panel after the engine died still has a pool to return to.
+ * Free list of panel buffers behind an engine's panels. Held by
+ * shared_ptr from the engine AND from every outstanding lease, so
+ * returning a panel after the engine died still has a pool to return
+ * to.
  */
 struct GatherEngine::PanelPool
 {
+    /** One panel's memory: cache-line aligned (shard boundaries rarely
+     *  split a line, and the vector copies hit aligned stores) and
+     *  uninitialised — the gather writes every byte it hands out. */
+    struct Buffer
+    {
+        static constexpr std::align_val_t kAlign{64};
+
+        struct Free
+        {
+            void
+            operator()(std::byte *p) const
+            {
+                ::operator delete(p, kAlign);
+            }
+        };
+
+        std::unique_ptr<std::byte, Free> data;
+        size_t capacity = 0;
+
+        explicit Buffer(size_t bytes)
+            : data(static_cast<std::byte *>(::operator new(bytes, kAlign))),
+              capacity(bytes)
+        {}
+    };
+
     std::mutex mu;
-    std::vector<std::unique_ptr<util::ArenaAllocator>> free;
+    std::vector<Buffer> free; ///< LIFO: the back is the warmest buffer.
+    uint64_t held_bytes = 0;  ///< Every buffer, free or leased.
 };
 
 /**
- * The lease a live panel holds: the arena its bytes live in plus the
+ * The lease a live panel holds: the buffer its bytes live in plus the
  * pool to return it to. Destruction may happen on any thread (panels
- * travel through pipeline queues); the arena is reset and pushed back
- * under the pool mutex.
+ * travel through queues); the buffer is pushed back under the pool
+ * mutex.
  */
 struct FeaturePanel::Lease
 {
-    std::unique_ptr<util::ArenaAllocator> arena;
+    GatherEngine::PanelPool::Buffer buffer;
     std::shared_ptr<GatherEngine::PanelPool> pool;
 
-    Lease(std::unique_ptr<util::ArenaAllocator> a,
+    Lease(GatherEngine::PanelPool::Buffer b,
           std::shared_ptr<GatherEngine::PanelPool> p)
-        : arena(std::move(a)), pool(std::move(p))
+        : buffer(std::move(b)), pool(std::move(p))
     {}
 
     ~Lease()
     {
-        arena->reset();
         std::lock_guard<std::mutex> lock(pool->mu);
-        pool->free.push_back(std::move(arena));
+        pool->free.push_back(std::move(buffer));
     }
 };
 
@@ -114,32 +143,52 @@ GatherEngine::threads() const
     return pool_ ? static_cast<int>(pool_->size()) : 1;
 }
 
+uint64_t
+GatherEngine::pooled_bytes() const
+{
+    std::lock_guard<std::mutex> lock(panels_->mu);
+    return panels_->held_bytes;
+}
+
 FeaturePanel
 GatherEngine::acquire_panel(int64_t rows, int64_t dim)
 {
     const size_t bytes =
         static_cast<size_t>(rows) * static_cast<size_t>(dim) *
         sizeof(float);
-    std::unique_ptr<util::ArenaAllocator> arena;
+    // The warmest free buffer that fits is reused whole. When none
+    // fits, the warmest is dropped and replaced by one with 1/8 slack,
+    // so each buffer tracks the largest panel it served instead of
+    // keeping every size it ever grew through.
+    std::optional<PanelPool::Buffer> buffer, dropped;
+    size_t capacity = bytes + bytes / 8;
     {
         std::lock_guard<std::mutex> lock(panels_->mu);
-        if (!panels_->free.empty()) {
-            arena = std::move(panels_->free.back());
-            panels_->free.pop_back();
+        std::vector<PanelPool::Buffer> &free = panels_->free;
+        auto fit = std::find_if(free.rbegin(), free.rend(),
+                                [bytes](const PanelPool::Buffer &b) {
+                                    return b.capacity >= bytes;
+                                });
+        if (fit != free.rend()) {
+            buffer.emplace(std::move(*fit));
+            free.erase(std::next(fit).base());
+        } else {
+            if (!free.empty()) {
+                panels_->held_bytes -= free.back().capacity;
+                dropped.emplace(std::move(free.back()));
+                free.pop_back();
+            }
+            panels_->held_bytes += capacity;
         }
     }
-    if (!arena)
-        arena = std::make_unique<util::ArenaAllocator>(
-            bytes < size_t(1) << 16 ? size_t(1) << 16 : bytes);
-    // Cache-line aligned so shard boundaries rarely split a line and
-    // the vector copies hit aligned stores in practice.
-    auto *data = static_cast<float *>(arena->allocate(bytes, 64));
+    if (!buffer)
+        buffer.emplace(capacity);
     FeaturePanel panel;
-    panel.data_ = data;
+    panel.data_ = reinterpret_cast<float *>(buffer->data.get());
     panel.rows_ = rows;
     panel.dim_ = dim;
-    panel.lease_ =
-        std::make_shared<FeaturePanel::Lease>(std::move(arena), panels_);
+    panel.lease_ = std::make_shared<FeaturePanel::Lease>(
+        std::move(*buffer), panels_);
     return panel;
 }
 

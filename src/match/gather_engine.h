@@ -19,11 +19,12 @@
  *   - row-sharding over util::ThreadPool — shards are disjoint row
  *     ranges of the panel, so output is **bit-identical at any thread
  *     count** (the KernelEngine contract);
- *   - arena-backed FeaturePanel outputs leased from a pool: steady-state
- *     gathers never touch the heap, and panels are *handed off* through
- *     queues / wrapped as compute::Tensor::view instead of copied. A
- *     panel returns its arena to the pool on destruction, from any
- *     thread, even after the engine is gone.
+ *   - FeaturePanel outputs leased from a pool of buffers, one buffer
+ *     per panel: steady-state gathers never touch the heap, and panels
+ *     are *handed off* through queues / wrapped as
+ *     compute::Tensor::view instead of copied. A panel returns its
+ *     buffer to the pool on destruction, from any thread, even after
+ *     the engine is gone.
  *
  * The engine only copies rows. Which of them a device cache already
  * holds is store::FeatureResidency::charge's call, not the gather's.
@@ -50,7 +51,7 @@ class GatherEngine;
 
 /**
  * One gathered feature panel: rows() x dim() floats, row-major and
- * contiguous, living in arena memory leased from the engine's panel
+ * contiguous, living in one buffer leased from the engine's panel
  * pool.
  *
  * Ownership rules (docs/feature_gather.md):
@@ -58,10 +59,10 @@ class GatherEngine;
  *  - the data pointer stays valid until the panel (and every span or
  *    Tensor::view derived from it) is done — consumers receive the
  *    panel itself, not a copy;
- *  - destruction (or release()) resets the arena and returns it to the
- *    pool, from any thread; the pool outlives its engine for as long
- *    as any panel is alive, so handing panels down a queue past the
- *    engine's lifetime is safe;
+ *  - destruction (or release()) returns the buffer to the pool, from
+ *    any thread; the pool outlives its engine for as long as any
+ *    panel is alive, so handing panels down a queue past the engine's
+ *    lifetime is safe;
  *  - the engine may not be destroyed while a gather call is in flight,
  *    but outstanding panels never pin it.
  */
@@ -129,24 +130,15 @@ struct GatherStats
     {
         return seconds > 0.0 ? double(bytes) / seconds / 1e9 : 0.0;
     }
-
-    GatherStats &
-    operator+=(const GatherStats &o)
-    {
-        seconds += o.seconds;
-        rows += o.rows;
-        bytes += o.bytes;
-        calls += o.calls;
-        return *this;
-    }
 };
 
 /**
  * Batched feature gather engine; see the file comment. Like
  * compute::KernelEngine, an instance is driven by one caller thread at
- * a time (stats and the lease fast path are unsynchronised); the worker
- * threads it fans out to are internal, and separate engines may share
- * one FeatureStore concurrently (an immutable read).
+ * a time (stats are unsynchronised); the worker threads it fans out to
+ * are internal, and separate engines may share one FeatureStore
+ * concurrently (an immutable read). Panels may be released on any
+ * thread.
  */
 class GatherEngine
 {
@@ -178,9 +170,18 @@ class GatherEngine
     const GatherStats &stats() const { return stats_; }
     void reset_stats() { stats_ = GatherStats{}; }
 
+    /**
+     * Bytes of panel memory the pool holds, leased or free. A gather
+     * reuses the most recently returned buffer that fits its panel;
+     * when none fits, it replaces that buffer with one 1/8 larger than
+     * the panel. One panel alive at a time therefore holds at most
+     * 9/8 of the largest panel gathered.
+     */
+    uint64_t pooled_bytes() const;
+
   private:
     struct PanelPool;
-    friend struct FeaturePanel::Lease; ///< Leases return arenas to the pool.
+    friend struct FeaturePanel::Lease; ///< Leases return buffers to the pool.
 
     FeaturePanel acquire_panel(int64_t rows, int64_t dim);
 

@@ -4,12 +4,14 @@
  * PipelineOptions seed must produce bit-identical EpochResult /
  * PhaseBreakdown numbers across runs, across executors, and across
  * AsyncPipeline thread counts — the property that makes the overlapped
- * executor a drop-in replacement for the sequential one.
+ * executor a drop-in replacement for the sequential one. The trainer's
+ * epochs are pinned the same way, at kernel and gather widths 1 and 4.
  */
 #include <gtest/gtest.h>
 
 #include "core/async_pipeline.h"
 #include "core/pipeline.h"
+#include "core/trainer.h"
 #include "graph/datasets.h"
 #include "util/fnv.h"
 
@@ -250,6 +252,93 @@ TEST(Determinism, PipelineEpochDigestIsPinned)
                       c.golden)
                 << c.name << " at " << threads << " sampler thread(s)";
         }
+    }
+}
+
+/** One configuration of the pinned train_epoch digest. */
+struct TrainerDigestCase
+{
+    const char *name;
+    store::StorageKind storage;
+    int prefetch_depth;
+    float input_dropout;
+    uint64_t golden;
+};
+
+/**
+ * Pinned from reference runs of the sequential train_epoch; move only
+ * when sampling, the numeric path, the residency model or the
+ * epoch's batch order change behaviour. NVMe holds a quarter of the
+ * rows in host DRAM, so every depth stages and demand-reads blocks.
+ */
+constexpr TrainerDigestCase kTrainerDigestCases[] = {
+    {"in_memory_dropout", store::StorageKind::kNone, 0, 0.1f,
+     0x7D6BBF6466A55E27ULL},
+    {"nvme_depth0", store::StorageKind::kNvme, 0, 0.0f,
+     0x578B4191A2DAD71FULL},
+    {"nvme_depth1", store::StorageKind::kNvme, 1, 0.0f,
+     0x11F938A0624CA2F1ULL},
+    {"nvme_depth4", store::StorageKind::kNvme, 4, 0.0f,
+     0x55E14BECB6B5F88AULL},
+};
+
+/**
+ * Two epochs of @p c at kernel and gather width @p width, folded with
+ * an evaluate() between them. The trainer's sampler stream runs
+ * through both epochs and the evaluation, so a batch sampled past
+ * max_batches moves every number after it.
+ */
+uint64_t
+trainer_epoch_digest(const TrainerDigestCase &c, int width)
+{
+    core::TrainerOptions opts;
+    opts.fanouts = {4, 4};
+    opts.batch_size = 32; // 16 batches of the replica's 503 seeds
+    opts.max_batches = 6;
+    opts.input_dropout = c.input_dropout;
+    opts.compute_threads = width;
+    opts.gather_threads = width;
+    opts.storage.storage = c.storage;
+    opts.storage.host_mem_fraction = 0.25;
+    opts.storage.prefetch_depth = c.prefetch_depth;
+    core::Trainer trainer(products(), opts);
+
+    uint64_t h = util::kFnvOffset;
+    for (int epoch = 0; epoch < 2; ++epoch) {
+        const core::TrainEpochStats s = trainer.train_epoch();
+        EXPECT_EQ(s.iteration_losses.size(), 6u) << c.name;
+        h = fnv(h, s.iteration_losses.size());
+        for (const double loss : s.iteration_losses)
+            h = fnv(h, double_bits(loss));
+        h = fnv(h, double_bits(s.mean_accuracy));
+        h = fnv(h, double_bits(s.modelled_epoch_seconds));
+        const match::PartitionCacheCounters &f = s.residency.features;
+        const store::StoreStats &st = s.residency.store;
+        for (const int64_t v :
+             {f.local_hits, f.remote_hits, f.misses, st.lookup_rows,
+              st.gpu_cache_rows, st.host_rows, st.storage_rows,
+              st.demand_blocks, st.demand_staged, st.demand_fetched,
+              st.prefetch_hits})
+            h = fnv(h, static_cast<uint64_t>(v));
+        h = fnv(h, double_bits(st.stall_seconds));
+        h = fnv(h, double_bits(st.hidden_seconds));
+        if (c.storage != store::StorageKind::kNone) {
+            EXPECT_GT(st.storage_rows, 0) << c.name;
+            EXPECT_EQ(st.prefetch_hits > 0, c.prefetch_depth > 0)
+                << c.name;
+        }
+        if (epoch == 0)
+            h = fnv(h, double_bits(trainer.evaluate()));
+    }
+    return h;
+}
+
+TEST(Determinism, TrainerEpochDigestIsPinned)
+{
+    for (const TrainerDigestCase &c : kTrainerDigestCases) {
+        for (const int width : {1, 4})
+            EXPECT_EQ(trainer_epoch_digest(c, width), c.golden)
+                << c.name << " at width " << width;
     }
 }
 

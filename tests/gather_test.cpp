@@ -12,6 +12,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <numeric>
 #include <unordered_map>
@@ -92,7 +93,7 @@ TEST(GatherEngine, FuzzBitIdenticalToPerRowLoopAcrossWidths)
 
 TEST(GatherEngine, PanelReuseAcrossBatchesStaysIdentical)
 {
-    // The same engine (and therefore recycled arenas) across ragged
+    // The same engine (and therefore recycled buffers) across ragged
     // consecutive batches: stale bytes from a larger earlier panel
     // must never leak into a smaller later one.
     FeatureStore store(300, 31, 4, 9, true);
@@ -109,6 +110,53 @@ TEST(GatherEngine, PanelReuseAcrossBatchesStaysIdentical)
         FeaturePanel panel = engine.gather(store, nodes);
         ASSERT_EQ(panel_hash(panel),
                   fnv_bytes(want.data(), want.size() * sizeof(float)));
+    }
+}
+
+/** @p rows node IDs cycling through a store of @p n nodes. */
+std::vector<NodeId>
+cycling_nodes(int64_t rows, NodeId n)
+{
+    std::vector<NodeId> nodes(static_cast<size_t>(rows));
+    for (size_t i = 0; i < nodes.size(); ++i)
+        nodes[i] = static_cast<NodeId>(i % static_cast<size_t>(n));
+    return nodes;
+}
+
+TEST(GatherEngine, PoolHoldsOneBufferWithinSlackOfTheLargestPanel)
+{
+    // Panels that grow, then shrink and grow again, one alive at a
+    // time. The pool keeps one buffer no more than 1/8 larger than the
+    // largest panel so far; it keeps none of the sizes it grew through.
+    FeatureStore store(512, 64, 3, 11, true);
+    GatherEngine engine;
+    uint64_t largest = 0;
+    for (const int64_t rows :
+         {100, 160, 250, 400, 640, 1000, 1600, 2500, 4000, 300, 3900}) {
+        const FeaturePanel panel =
+            engine.gather(store, cycling_nodes(rows, 512));
+        largest = std::max(largest, panel.bytes());
+        EXPECT_GE(engine.pooled_bytes(), panel.bytes());
+        EXPECT_LE(engine.pooled_bytes(), largest + largest / 8)
+            << "rows=" << rows;
+    }
+}
+
+TEST(GatherEngine, TwoLiveLeasesHoldTwoBuffers)
+{
+    // A producer gathers batch b+1 while its consumer still holds
+    // batch b: two panels alive at a time hold two buffers, each
+    // within the slack of the largest panel.
+    FeatureStore store(512, 64, 3, 11, true);
+    GatherEngine engine;
+    uint64_t largest = 0;
+    FeaturePanel held;
+    for (const int64_t rows : {100, 400, 250, 1600, 900, 2500, 2400}) {
+        FeaturePanel next = engine.gather(store, cycling_nodes(rows, 512));
+        largest = std::max(largest, next.bytes());
+        EXPECT_LE(engine.pooled_bytes(), 2 * (largest + largest / 8))
+            << "rows=" << rows;
+        held = std::move(next);
     }
 }
 
