@@ -1,14 +1,38 @@
 #include "core/trainer.h"
 
+#include <atomic>
 #include <deque>
+#include <exception>
+#include <optional>
+#include <semaphore>
+#include <thread>
 
 #include "sample/frequency_hashmap.h"
 #include "sim/gpu_spec.h"
 #include "sim/kernel_model.h"
+#include "util/bounded_queue.h"
 #include "util/logging.h"
 
 namespace fastgl {
 namespace core {
+
+namespace {
+
+/** One batch the producer prepared: its subgraph and gathered rows. */
+struct PreparedBatch
+{
+    sample::SampledSubgraph sg;
+    match::FeaturePanel panel;
+};
+
+/** Zero-copy input view over a gathered panel. */
+compute::Tensor
+panel_view(match::FeaturePanel &panel)
+{
+    return compute::Tensor::view(panel.data(), panel.rows(), panel.dim());
+}
+
+} // namespace
 
 Trainer::Trainer(const graph::Dataset &dataset, TrainerOptions opts)
     : dataset_(dataset),
@@ -92,22 +116,6 @@ Trainer::Trainer(const graph::Dataset &dataset, TrainerOptions opts)
         residency);
 }
 
-compute::Tensor
-Trainer::gather_features(const sample::SampledSubgraph &sg)
-{
-    // Batched SIMD gather into a leased panel. The returned tensor is
-    // a zero-copy view — the forward pass reads (and input dropout
-    // writes) the panel bytes directly, so the previous batch's panel
-    // is done by the time we get here. Releasing it BEFORE gathering
-    // returns its arena to the pool first, and the LIFO pool hands the
-    // same (cache- and TLB-warm) arena straight back — the steady
-    // state is one hot buffer, not two alternating cold ones.
-    panel_.release();
-    panel_ = gather_engine_->gather(dataset_.features, sg.nodes);
-    return compute::Tensor::view(panel_.data(), panel_.rows(),
-                                 panel_.dim());
-}
-
 std::vector<int>
 Trainer::seed_labels(const sample::SampledSubgraph &sg)
 {
@@ -146,28 +154,80 @@ Trainer::train_epoch()
     double prof_sampler_free = 0.0;
     double prof_gather_free = 0.0;
     double prof_compute_free = 0.0;
-    // Sampler lookahead for the storage prefetcher: batches are still
-    // sampled strictly in order 0,1,2,... (every RNG stream untouched),
-    // but up to prefetch_depth of them sit in this buffer before being
-    // consumed — the window AsyncPipeline's producer naturally has —
-    // so their node sets can prefetch storage blocks early.
-    std::deque<sample::SampledSubgraph> lookahead;
-    int64_t next_to_sample = 0;
     const int64_t depth = residency_->storage_active()
                               ? std::max(0, opts_.storage.prefetch_depth)
                               : 0;
+
+    // Batch preparation runs on one producer thread while this thread
+    // computes. The producer samples batches 0, 1, 2, ... strictly in
+    // order with the trainer's own sampler, so the sampler's RNG stream
+    // is consumed exactly as a sequential loop consumes it, and gathers
+    // each batch into a leased panel. Everything that carries state or
+    // depends on order stays here, in batch order. A panel slot is
+    // taken before each batch and returned once its panel is released:
+    // at most depth + 2 panels are alive (the one being computed, the
+    // storage lookahead and the one being prepared).
+    util::BoundedQueue<PreparedBatch> handoff(1);
+    std::counting_semaphore<> panel_slots(std::min(depth, num_batches) +
+                                          2);
+    std::atomic<bool> stop{false};
+    std::thread producer([&] {
+        try {
+            for (int64_t i = 0; i < num_batches; ++i) {
+                panel_slots.acquire();
+                if (stop.load(std::memory_order_acquire))
+                    return;
+                PreparedBatch item;
+                item.sg = sampler_->sample(splitter_.batch(i));
+                item.panel =
+                    gather_engine_->gather(dataset_.features, item.sg.nodes);
+                if (!handoff.push(std::move(item)))
+                    return;
+            }
+        } catch (...) {
+            handoff.fail(std::current_exception());
+        }
+    });
+
+    // An early exit (an exception) stops the producer wherever it
+    // waits and joins it; the normal path joins it after the loop.
+    struct StopProducer
+    {
+        std::thread &thread;
+        std::atomic<bool> &stop;
+        util::BoundedQueue<PreparedBatch> &queue;
+        std::counting_semaphore<> &slots;
+
+        ~StopProducer()
+        {
+            if (!thread.joinable())
+                return;
+            stop.store(true, std::memory_order_release);
+            queue.close();
+            slots.release();
+            thread.join();
+        }
+    } stop_producer{producer, stop, handoff, panel_slots};
+
+    // Storage lookahead: batch b is computed once batches up to
+    // b + depth have arrived, so their node sets prefetch storage
+    // blocks while b computes.
+    std::deque<PreparedBatch> lookahead;
+    int64_t next_to_pop = 0;
     for (int64_t b = 0; b < num_batches; ++b) {
         const int64_t horizon = std::min(b + depth, num_batches - 1);
-        while (next_to_sample <= horizon) {
-            lookahead.push_back(
-                sampler_->sample(splitter_.batch(next_to_sample)));
-            if (next_to_sample > b)
-                residency_->stage_future_batch(next_to_sample,
-                                               lookahead.back().nodes);
-            ++next_to_sample;
+        while (next_to_pop <= horizon) {
+            std::optional<PreparedBatch> item = handoff.pop();
+            FASTGL_CHECK(item, "batch producer stopped early");
+            lookahead.push_back(std::move(*item));
+            if (next_to_pop > b)
+                residency_->stage_future_batch(
+                    next_to_pop, lookahead.back().sg.nodes);
+            ++next_to_pop;
         }
-        sample::SampledSubgraph sg = std::move(lookahead.front());
+        PreparedBatch batch = std::move(lookahead.front());
         lookahead.pop_front();
+        const sample::SampledSubgraph &sg = batch.sg;
         if (opts_.record_node_frequencies) {
             for (graph::NodeId u : sg.nodes)
                 ++stats.node_frequencies[static_cast<size_t>(u)];
@@ -212,7 +272,9 @@ Trainer::train_epoch()
                 0, compute_start - device_free_before,
                 batch_compute_s, prof_compute_free);
         }
-        compute::Tensor x = gather_features(sg);
+        // The forward reads (and input dropout writes) the panel
+        // bytes in place.
+        compute::Tensor x = panel_view(batch.panel);
         if (opts_.input_dropout > 0.0f)
             apply_input_dropout(x);
         compute::Tensor logits = model_->forward(sg, x);
@@ -228,7 +290,10 @@ Trainer::train_epoch()
         stats.iteration_losses.push_back(loss.loss);
         loss_sum += loss.loss;
         acc_sum += loss.accuracy;
+        batch.panel.release();
+        panel_slots.release();
     }
+    producer.join();
     stats.mean_loss = loss_sum / double(num_batches);
     stats.mean_accuracy = acc_sum / double(num_batches);
 
@@ -236,6 +301,7 @@ Trainer::train_epoch()
     // the modelled GPU seconds so drift between the two is visible.
     stats.measured_compute = engine_->stats();
     stats.gather = gather_engine_->stats();
+    stats.handoff_queue = handoff.stats();
     stats.num_gpus = std::max(1, opts_.num_gpus);
     stats.residency = residency_->stats();
     stats.modelled_epoch_seconds = stats.modelled_compute_seconds +
@@ -260,6 +326,16 @@ Trainer::apply_input_dropout(compute::Tensor &features)
 }
 
 double
+Trainer::batch_accuracy(const sample::SampledSubgraph &sg)
+{
+    match::FeaturePanel panel =
+        gather_engine_->gather(dataset_.features, sg.nodes);
+    const compute::Tensor logits = model_->forward(sg, panel_view(panel));
+    return compute::softmax_cross_entropy(logits, seed_labels(sg))
+        .accuracy;
+}
+
+double
 Trainer::evaluate_nodes(std::span<const graph::NodeId> nodes,
                         int64_t max_batches)
 {
@@ -275,13 +351,8 @@ Trainer::evaluate_nodes(std::span<const graph::NodeId> nodes,
         const size_t begin = size_t(b * batch);
         const size_t end =
             std::min(nodes.size(), begin + size_t(batch));
-        sample::SampledSubgraph sg =
-            sampler_->sample(nodes.subspan(begin, end - begin));
-        compute::Tensor x = gather_features(sg);
-        compute::Tensor logits = model_->forward(sg, x);
-        const std::vector<int> labels = seed_labels(sg);
-        acc_sum +=
-            compute::softmax_cross_entropy(logits, labels).accuracy;
+        acc_sum += batch_accuracy(
+            sampler_->sample(nodes.subspan(begin, end - begin)));
     }
     return acc_sum / double(num_batches);
 }
@@ -293,15 +364,8 @@ Trainer::evaluate(int64_t max_batches)
     if (max_batches > 0)
         num_batches = std::min(num_batches, max_batches);
     double acc_sum = 0.0;
-    for (int64_t b = 0; b < num_batches; ++b) {
-        sample::SampledSubgraph sg =
-            sampler_->sample(splitter_.batch(b));
-        compute::Tensor x = gather_features(sg);
-        compute::Tensor logits = model_->forward(sg, x);
-        const std::vector<int> labels = seed_labels(sg);
-        acc_sum +=
-            compute::softmax_cross_entropy(logits, labels).accuracy;
-    }
+    for (int64_t b = 0; b < num_batches; ++b)
+        acc_sum += batch_accuracy(sampler_->sample(splitter_.batch(b)));
     return acc_sum / double(num_batches);
 }
 

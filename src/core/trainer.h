@@ -4,6 +4,13 @@
  * forward/backward/optimizer steps. This is the execution path behind the
  * convergence experiment (paper Fig. 16) and the runnable examples —
  * unlike Pipeline, which models time, Trainer computes actual numbers.
+ *
+ * train_epoch prepares batches on one producer thread: it samples batch
+ * b+1 and gathers its feature rows while batch b computes on the calling
+ * thread (the batch-preparation overlap of the paper's Fig. 5). The
+ * producer consumes the sampler's stream in batch order, and the
+ * consumer keeps every stateful step in batch order, so losses,
+ * parameters and modelled seconds are the ones a sequential loop gives.
  */
 #pragma once
 
@@ -22,6 +29,7 @@
 #include "sample/batch_splitter.h"
 #include "sample/neighbor_sampler.h"
 #include "store/residency.h"
+#include "util/bounded_queue.h"
 #include "util/rng.h"
 
 namespace fastgl {
@@ -112,9 +120,14 @@ struct TrainEpochStats
      */
     std::vector<int64_t> node_frequencies;
     /** Batched feature-gather counters measured during this epoch
-     *  (calls, rows, bytes, seconds). The cache hits are in
-     *  residency.features. */
+     *  (calls, rows, bytes, seconds) on the producer thread. The cache
+     *  hits are in residency.features. */
     match::GatherStats gather;
+    /** The producer-to-consumer batch hand-off. pop_blocked counts the
+     *  batches the consumer had to wait for (preparation not hidden
+     *  behind compute); push_blocked the batches the producer held
+     *  while the consumer was busy. */
+    util::QueueStats handoff_queue;
     /** Modelled devices of the accounting pass (1 = off). */
     int num_gpus = 1;
     /** The epoch's feature-residency counters: cache (or shard)
@@ -138,7 +151,12 @@ class Trainer
   public:
     Trainer(const graph::Dataset &dataset, TrainerOptions opts);
 
-    /** Run one real training epoch; returns its loss curve. */
+    /**
+     * Run one real training epoch; returns its loss curve. Batches are
+     * sampled and gathered on a producer thread (see the file comment);
+     * an exception thrown there is rethrown here after the producer is
+     * joined.
+     */
     TrainEpochStats train_epoch();
 
     /**
@@ -165,12 +183,8 @@ class Trainer
     }
 
   private:
-    /**
-     * Gather one feature row per subgraph node through the batched
-     * gather engine. Returns a zero-copy Tensor::view over the leased
-     * panel (panel_); valid until the next gather_features call.
-     */
-    compute::Tensor gather_features(const sample::SampledSubgraph &sg);
+    /** Gather @p sg's rows, run a forward pass, return its accuracy. */
+    double batch_accuracy(const sample::SampledSubgraph &sg);
 
     /** Inverted dropout on the gathered input features (train only). */
     void apply_input_dropout(compute::Tensor &features);
@@ -182,9 +196,6 @@ class Trainer
     TrainerOptions opts_;
     std::unique_ptr<compute::KernelEngine> engine_;
     std::unique_ptr<match::GatherEngine> gather_engine_;
-    /** Panel behind the current batch's input view; replaced (and its
-     *  arena recycled) by the next gather_features call. */
-    match::FeaturePanel panel_;
     /** Feature cache, shards, peer links and storage tier; built by
      *  the constructor, charged once per training batch. */
     std::unique_ptr<store::FeatureResidency> residency_;

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the numeric Trainer: real end-to-end training must reduce the
- * loss on the dataset replicas (the paper's Fig. 16 correctness claim).
+ * loss on the dataset replicas (the paper's Fig. 16 correctness claim),
+ * and every batch crosses the producer-to-consumer hand-off once.
  */
 #include <gtest/gtest.h>
 
@@ -140,6 +141,34 @@ TEST(Trainer, RecordsNodeFrequenciesForWarmup)
     core::Trainer again(ds, opts);
     EXPECT_EQ(again.train_epoch().node_frequencies,
               stats.node_frequencies);
+}
+
+TEST(Trainer, HandoffQueueCarriesEachBatchOnce)
+{
+    // Every batch crosses the producer-to-consumer hand-off exactly
+    // once, in memory and over NVMe with storage lookaheads of 0 and 3,
+    // and the queue never holds more than one prepared batch.
+    const graph::Dataset ds = tiny_reddit();
+    for (const int depth : {-1, 0, 3}) { // -1: storage off
+        core::TrainerOptions opts;
+        opts.fanouts = {4, 4};
+        opts.max_batches = 5;
+        opts.batch_size = 32;
+        opts.gather_threads = 2;
+        if (depth >= 0) {
+            opts.storage.storage = store::StorageKind::kNvme;
+            opts.storage.host_mem_fraction = 0.25;
+            opts.storage.prefetch_depth = depth;
+        }
+        core::Trainer trainer(ds, opts);
+        for (int epoch = 0; epoch < 2; ++epoch) {
+            const util::QueueStats q = trainer.train_epoch().handoff_queue;
+            EXPECT_EQ(q.pushed, 5u) << "depth " << depth;
+            EXPECT_EQ(q.popped, 5u) << "depth " << depth;
+            EXPECT_LE(q.max_depth, 1u) << "depth " << depth;
+            EXPECT_LE(q.pop_blocked, q.popped) << "depth " << depth;
+        }
+    }
 }
 
 TEST(Trainer, FrequencyRecordingOffByDefault)
