@@ -204,6 +204,14 @@ load_dataset(Dataset &dataset, const std::string &path,
         if (u < 0 || u >= out.graph.num_nodes())
             return false;
     }
+    // Each factor is below 2^32, so the row count and the quotient
+    // cannot overflow; the product is checked by division.
+    const uint64_t feature_rows =
+        uint64_t(classes) +
+        (materialize_features ? uint64_t(feature_nodes) : 0);
+    if (uint64_t(dim) >
+        kMaxLoadedFeatureBytes / sizeof(float) / feature_rows)
+        return false;
 
     out.features =
         FeatureStore(feature_nodes, static_cast<int>(dim),

@@ -10,6 +10,7 @@
  */
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "graph/csr_graph.h"
@@ -35,7 +36,18 @@ bool load_graph(CsrGraph &graph, const std::string &path);
  */
 bool save_dataset(const Dataset &dataset, const std::string &path);
 
-/** Read a dataset written by save_dataset. */
+/**
+ * Largest feature allocation load_dataset makes: the classes x dim
+ * centroid floats, plus nodes x dim floats when features are
+ * materialised. That is 8x the largest built-in replica at 100% scale
+ * (IGB-large, 120,000 x 1,024 floats = 469 MiB). A header that asks for
+ * more is rejected before anything is allocated.
+ */
+inline constexpr uint64_t kMaxLoadedFeatureBytes = uint64_t(1) << 32;
+
+/** Read a dataset written by save_dataset. @return false on IO
+ *  failure, bad magic, failed validation, or a feature shape past
+ *  kMaxLoadedFeatureBytes. */
 bool load_dataset(Dataset &dataset, const std::string &path,
                   bool materialize_features = true);
 

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 
 #include "graph/datasets.h"
 #include "graph/generators.h"
@@ -164,6 +165,31 @@ TEST(Serialize, DatasetLoadRejectsDimAndClassesWiderThanInt)
             << "field at byte " << field;
         std::remove(path.c_str());
     }
+}
+
+TEST(Serialize, DatasetLoadRejectsShapesPastTheFeatureBudget)
+{
+    graph::ReplicaOptions ropts;
+    ropts.size_factor = 0.02;
+    ropts.materialize_features = false;
+    const graph::Dataset original =
+        graph::load_replica(graph::DatasetId::kReddit, ropts);
+    const long dim_at = long(3 * sizeof(uint64_t) + original.name.size());
+    const std::string path = temp_path("feature_budget");
+    ASSERT_TRUE(graph::save_dataset(original, path));
+    graph::Dataset loaded;
+    // dim = classes = INT_MAX asks for 2^64 bytes of centroids alone.
+    patch_u64(path, dim_at, std::numeric_limits<int>::max());
+    patch_u64(path, dim_at + 8, std::numeric_limits<int>::max());
+    EXPECT_FALSE(graph::load_dataset(loaded, path, false));
+    EXPECT_FALSE(graph::load_dataset(loaded, path, true));
+    // 2^24-wide rows: the 41 centroids fit the budget (2.6 GiB), the
+    // materialised rows do not (2^24 floats per node).
+    patch_u64(path, dim_at, uint64_t(1) << 24);
+    patch_u64(path, dim_at + 8, 41);
+    EXPECT_GT(original.graph.num_nodes(), 64);
+    EXPECT_FALSE(graph::load_dataset(loaded, path, true));
+    std::remove(path.c_str());
 }
 
 TEST(Serialize, LoadRejectsVectorCountBeyondFileSize)

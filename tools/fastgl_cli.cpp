@@ -91,6 +91,15 @@ class Args
         return value;
     }
 
+    /** get_int_at_least for a value stored as int: fails above @p max
+     *  (INT_MAX by default) instead of narrowing. */
+    int
+    get_int32(const std::string &key, int64_t fallback, int64_t min,
+              int64_t max = std::numeric_limits<int>::max()) const
+    {
+        return static_cast<int>(get_int_at_least(key, fallback, min, max));
+    }
+
     /** A finite real >= 0 (failing fast, naming the flag); nullopt
      *  when the flag is absent. */
     std::optional<double>
@@ -203,9 +212,8 @@ parse_storage_opts(const Args &args, graph::DatasetId id)
         storage.host_mem_rows = static_cast<int64_t>(std::min(
             1e18, *gb * double(uint64_t(1) << 30) / row_bytes));
     }
-    storage.prefetch_depth = int(args.get_int_at_least(
-        "prefetch-depth", storage.prefetch_depth, 0,
-        std::numeric_limits<int>::max()));
+    storage.prefetch_depth =
+        args.get_int32("prefetch-depth", storage.prefetch_depth, 0);
     storage.relayout = args.has("relayout");
     return storage;
 }
@@ -462,13 +470,13 @@ run_model(const Args &args)
         parse_dataset(args.get("dataset", "products"));
     opts.fw = core::framework_preset(
         parse_framework(args.get("framework", "fastgl")));
-    opts.num_gpus = int(args.get_int_at_least("gpus", 2, 1));
-    opts.num_machines = int(args.get_int_at_least("machines", 1, 1));
+    opts.num_gpus = args.get_int32("gpus", 2, 1);
+    opts.num_machines = args.get_int32("machines", 1, 1);
     opts.model.type = parse_model(args.get("model", "gcn"));
     opts.batch_size = args.get_int_at_least("batch", 0, 0);
     opts.max_batches = args.get_int_at_least("max-batches", 0, 0);
     opts.seed = uint64_t(args.get_int("seed", 1));
-    const int epochs = int(args.get_int_at_least("epochs", 1, 1));
+    const int epochs = args.get_int32("epochs", 1, 1);
 
     graph::ReplicaOptions ropts;
     ropts.materialize_features = false;
@@ -508,9 +516,8 @@ run_train(const Args &args)
     const int64_t scale_pct = args.get_int_at_least("scale-pct", 50, 1);
     opts.batch_size = args.get_int_at_least("batch", 0, 0);
     opts.max_batches = args.get_int_at_least("max-batches", 10, 0);
-    opts.compute_threads =
-        int(args.get_int_at_least("compute-threads", 0, 0));
-    opts.num_gpus = int(args.get_int_at_least("gpus", 1, 1));
+    opts.compute_threads = args.get_int32("compute-threads", 0, 0);
+    opts.num_gpus = args.get_int32("gpus", 1, 1);
     // The shards need a cache budget: default one in when --gpus asks
     // for the accounting pass but no --cache-pct was given.
     opts.feature_cache_ratio =
@@ -529,7 +536,7 @@ run_train(const Args &args)
     opts.profile = args.has("profile") || !profile_json.empty();
     const std::string warmup_path = args.get("save-warmup", "");
     opts.record_node_frequencies = !warmup_path.empty();
-    const int epochs = int(args.get_int_at_least("epochs", 3, 1));
+    const int epochs = args.get_int32("epochs", 3, 1);
 
     graph::ReplicaOptions ropts;
     ropts.size_factor = double(scale_pct) / 100.0;
@@ -547,12 +554,17 @@ run_train(const Args &args)
         if (opts.profile)
             last_profile = stats.profile;
         const compute::KernelEngineStats &kernels = stats.measured_compute;
+        // Starved pops: batches whose preparation compute did not hide.
+        const util::QueueStats &handoff = stats.handoff_queue;
         std::printf("epoch %d: loss %.4f, accuracy %.3f | host compute "
                     "%.3fs (%.1f GFLOP/s gemm, %.0f B/edge agg), "
-                    "modelled GPU %.3fs\n",
+                    "waited on %.0f%% of batches | modelled GPU %.3fs\n",
                     e, stats.mean_loss, stats.mean_accuracy,
                     kernels.gemm_seconds + kernels.agg_seconds,
                     kernels.gemm_gflops(), kernels.agg_bytes_per_edge(),
+                    handoff.popped ? 100.0 * double(handoff.pop_blocked) /
+                                         double(handoff.popped)
+                                   : 0.0,
                     stats.modelled_compute_seconds);
         const store::ResidencyStats &residency = stats.residency;
         if (stats.num_gpus > 1)
@@ -608,11 +620,13 @@ int
 run_serve(const Args &args)
 {
     // Read every flag before the replica load, rejecting workload
-    // arguments the server would otherwise coerce or die on.
+    // arguments the server would otherwise coerce or die on. Only
+    // --max-pending (<= 0 turns shedding off) and --seed take any
+    // integer.
     const int64_t rate = args.get_int_at_least("rate", 20000, 1);
-    const int64_t batch_max = args.get_int_at_least("batch-max", 32, 1);
-    const int64_t requests = args.get_int("requests", 2048);
-    const int64_t clients = args.get_int("clients", 0);
+    const int batch_max = args.get_int32("batch-max", 32, 1);
+    const int64_t requests = args.get_int_at_least("requests", 2048, 1);
+    const int clients = args.get_int32("clients", 0, 0);
     if (clients > 0 && requests < clients)
         util::fatal("--requests " + std::to_string(requests) +
                     " is fewer than --clients " +
@@ -623,20 +637,21 @@ run_serve(const Args &args)
         double(args.get_int_at_least("wait-us", 2000, 0)) / 1e6;
     sopts.feature_cache_ratio =
         double(args.get_int_at_least("cache-pct", 20, 0, 100)) / 100.0;
-    sopts.num_gpus = int(args.get_int_at_least("gpus", 1, 1));
+    sopts.num_gpus = args.get_int32("gpus", 1, 1);
     const graph::DatasetId dataset =
         parse_dataset(args.get("dataset", "products"));
-    const int64_t scale_pct = args.get_int("scale-pct", 100);
+    const int64_t scale_pct = args.get_int_at_least("scale-pct", 100, 1);
 
-    sopts.worker_threads = int(args.get_int("threads", 4));
+    sopts.worker_threads = args.get_int32("threads", 4, 1);
     sopts.model.type = parse_model(args.get("model", "gcn"));
-    sopts.batcher.max_batch = int(batch_max);
+    sopts.batcher.max_batch = batch_max;
     sopts.admission.max_pending = args.get_int("max-pending", 64);
     sopts.drr_quantum =
-        double(args.get_int("drr-quantum-us", 1000)) / 1e6;
-    sopts.embedding.capacity_rows = args.get_int("embed-rows", -1);
-    sopts.compute_logits = args.get_int("logits", 0) != 0;
-    sopts.compute_threads = int(args.get_int("compute-threads", 1));
+        double(args.get_int_at_least("drr-quantum-us", 1000, 1)) / 1e6;
+    sopts.embedding.capacity_rows =
+        args.get_int_at_least("embed-rows", -1, -1);
+    sopts.compute_logits = args.get_int_at_least("logits", 0, 0, 1) != 0;
+    sopts.compute_threads = args.get_int32("compute-threads", 1, 0);
     sopts.partitioner =
         parse_partitioner(args.get("partitioner", "ldg"));
     const std::string shard = args.get("shard", "sharded");
@@ -649,15 +664,15 @@ run_serve(const Args &args)
     sopts.storage = parse_storage_opts(args, dataset);
     const std::string profile_json = args.get("profile-json", "");
     sopts.profile = args.has("profile") || !profile_json.empty();
-    sopts.modelled_samplers = int(args.get_int("samplers", 0));
+    sopts.modelled_samplers = args.get_int32("samplers", 0, 0);
     if (args.has("autoscale")) {
         sopts.autoscale.enabled = true;
-        sopts.autoscale.min_workers =
-            int(args.get_int("autoscale-min", 1));
-        sopts.autoscale.max_workers =
-            int(args.get_int("autoscale-max", 8));
+        sopts.autoscale.min_workers = args.get_int32("autoscale-min", 1, 1);
+        sopts.autoscale.max_workers = args.get_int32(
+            "autoscale-max", 8, sopts.autoscale.min_workers);
         sopts.autoscale.cache_grow =
-            double(args.get_int("autoscale-cache-pct", 100)) / 100.0;
+            double(args.get_int_at_least("autoscale-cache-pct", 100, 0)) /
+            100.0;
     }
 
     // --model2 hosts a second tier behind the same front door; both
@@ -674,30 +689,32 @@ run_serve(const Args &args)
         tier.name = model2;
         tier.model.type = parse_model(model2);
         sopts.models.push_back(tier);
-        const double share = std::clamp(
-            double(args.get_int("model2-share", 30)) / 100.0, 0.0, 1.0);
+        const double share =
+            double(args.get_int_at_least("model2-share", 30, 0, 100)) /
+            100.0;
         lopts.model_mix = {1.0 - share, share};
     }
 
     lopts.rate_rps = double(rate);
     lopts.trace = parse_trace(args.get("trace", "const"));
     lopts.num_requests = requests;
-    lopts.targets_per_request = int(args.get_int("targets", 1));
+    lopts.targets_per_request = args.get_int32("targets", 1, 1);
     lopts.slo_deadline =
-        double(args.get_int("slo-ms", 20)) / 1e3;
-    lopts.class_mix = {double(args.get_int("mix-paid", 0)),
-                       double(args.get_int("mix-std", 100)),
-                       double(args.get_int("mix-be", 0))};
+        double(args.get_int_at_least("slo-ms", 20, 0)) / 1e3;
+    lopts.class_mix = {double(args.get_int_at_least("mix-paid", 0, 0)),
+                       double(args.get_int_at_least("mix-std", 100, 0)),
+                       double(args.get_int_at_least("mix-be", 0, 0))};
     lopts.seed = sopts.seed + 1;
 
     // --clients N turns the run into a closed loop: the trace length
     // is rounded down to a whole number of requests per client.
     serve::ClosedLoopOptions copts;
-    copts.num_clients = int(clients);
+    copts.num_clients = clients;
     if (copts.num_clients > 0) {
         copts.requests_per_client =
             lopts.num_requests / copts.num_clients;
-        copts.think_time = double(args.get_int("think-us", 2000)) / 1e6;
+        copts.think_time =
+            double(args.get_int_at_least("think-us", 2000, 0)) / 1e6;
         lopts.num_requests =
             copts.requests_per_client * copts.num_clients;
     }
