@@ -109,6 +109,7 @@ AsyncPipeline::run_epoch()
         batch_queue.close();
         compute_queue.close();
     });
+    batch_queue_stats_ = [&batch_queue] { return batch_queue.stats(); };
 
     std::mutex error_mu;
     std::exception_ptr first_error;
@@ -288,6 +289,7 @@ AsyncPipeline::run_epoch()
     stats_.batches_completed = batches_completed.load();
     stats_.stopped_early = shutdown_.stop_requested();
     shutdown_.end_run();
+    batch_queue_stats_ = nullptr;
     stats_.batch_queue = batch_queue.stats();
     stats_.compute_queue = compute_queue.stats();
 

@@ -130,6 +130,18 @@ class AsyncPipeline
     /** Measured host-side statistics of the most recent epoch. */
     const AsyncEpochStats &last_stats() const { return stats_; }
 
+    /**
+     * Live counters of the running epoch's sample -> gather queue, so a
+     * test hook can wait for backpressure instead of sleeping. Call it
+     * only from a hook; between runs it returns zeros.
+     */
+    util::QueueStats
+    live_batch_queue_stats() const
+    {
+        return batch_queue_stats_ ? batch_queue_stats_()
+                                  : util::QueueStats{};
+    }
+
     /** The underlying modelled pipeline (shared configuration). */
     const Pipeline &modelled() const { return pipeline_; }
 
@@ -148,6 +160,8 @@ class AsyncPipeline
     int compute_threads_ = 1;
     /** Stop flag + close-queues action of the in-flight epoch. */
     util::StageShutdown shutdown_;
+    /** Reads the running epoch's batch queue; empty between runs. */
+    std::function<util::QueueStats()> batch_queue_stats_;
     AsyncEpochStats stats_;
 };
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * Bounded MPMC queue — the hand-over structure between the stages of the
- * overlapped training pipeline (core::AsyncPipeline).
+ * overlapped pipelines (core::AsyncPipeline, core::Trainer's batch
+ * producer, the serving loop).
  *
  * Producers block while the queue is full (backpressure: a slow consumer
  * throttles sampling instead of letting presampled subgraphs pile up

@@ -149,23 +149,25 @@ TEST(AsyncPipeline, BackpressureThrottlesProducersUnderSlowConsumer)
     async.sampler_threads = 4;
     async.gather_threads = 1;
     async.queue_depth = 2;
-    // Gate the first gathered window on the producers having sampled
-    // more windows than the queue can hold (7 of 8, i.e. 14 batches:
-    // one consumed + two queued + four in producer hands), so at least
-    // one producer provably blocks in push() regardless of how slow
-    // this host or a sanitizer build is.
-    std::atomic<int> sampled{0};
-    async.sample_hook = [&sampled](int64_t) { sampled.fetch_add(1); };
+    // Hold the first gathered window until a producer has found the
+    // batch queue full. The one gather thread is the queue's only
+    // consumer, so nothing drains the queue while this hook waits, and
+    // four producers with eight windows fill it however slow this host
+    // or a sanitizer build is. The deadline only turns a hang into a
+    // failure.
+    const core::AsyncPipeline *running = nullptr;
     std::atomic<bool> gated{false};
     async.gather_hook = [&](int) {
         if (gated.exchange(true))
             return;
-        while (sampled.load() < 14)
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(60);
+        while (running->live_batch_queue_stats().push_blocked == 0 &&
+               std::chrono::steady_clock::now() < deadline)
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        // Let the last samplers actually enter their blocking push.
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
     };
     core::AsyncPipeline pipe(products(), opts, async);
+    running = &pipe;
     const auto result = pipe.run_epoch();
     EXPECT_EQ(result.batches, 16);
 

@@ -62,13 +62,14 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
 # Determinism cover run_epoch sampling a Reorder window on the window
 # pool (Pipeline.MoreGpusReduceEpochTime and
 # Pipeline.MultiMachineSplitsWorkAndPaysNetwork reach a pooled window);
-# NodeSet covers bitmap builds on several threads at once.
+# NodeSet covers bitmap builds on several threads at once; Trainer and
+# Determinism cover train_epoch's batch producer thread.
 if [[ "${FASTGL_TSAN:-0}" == "1" ]]; then
     echo "==> ThreadSanitizer configuration (concurrency suite)"
     run_config build-tsan -DFASTGL_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-        -R 'BoundedQueue|ThreadPool|AsyncPipeline|Pipeline\.|Determinism|NodeSet|Serve|StageShutdown|ComputeKernels|Gather|FrequencyHashmap|FeaturePanel|MultiGpu|Partition|PeerTopology|OocStore|StorageLink|Prefetch|Profiler|Autoscale|ClosedLoop'
+        -R 'BoundedQueue|ThreadPool|AsyncPipeline|Pipeline\.|Determinism|NodeSet|Trainer|Serve|StageShutdown|ComputeKernels|Gather|FrequencyHashmap|FeaturePanel|MultiGpu|Partition|PeerTopology|OocStore|StorageLink|Prefetch|Profiler|Autoscale|ClosedLoop'
 fi
 
 # Gate one archived bench JSON. Every bench archive must parse as JSON
