@@ -1,10 +1,10 @@
 #include "core/trainer.h"
 
-#include <atomic>
 #include <deque>
 #include <exception>
 #include <optional>
 #include <semaphore>
+#include <stop_token>
 #include <thread>
 
 #include "sample/frequency_hashmap.h"
@@ -170,12 +170,19 @@ Trainer::train_epoch()
     util::BoundedQueue<PreparedBatch> handoff(1);
     std::counting_semaphore<> panel_slots(std::min(depth, num_batches) +
                                           2);
-    std::atomic<bool> stop{false};
-    std::thread producer([&] {
+    // An early exit of this thread (an exception) destroys the
+    // producer, which requests a stop and joins: the callback then
+    // unblocks it wherever it waits. The normal path joins it after the
+    // loop.
+    std::jthread producer([&](std::stop_token stop) {
+        std::stop_callback unblock(stop, [&] {
+            handoff.close();
+            panel_slots.release();
+        });
         try {
             for (int64_t i = 0; i < num_batches; ++i) {
                 panel_slots.acquire();
-                if (stop.load(std::memory_order_acquire))
+                if (stop.stop_requested())
                     return;
                 PreparedBatch item;
                 item.sg = sampler_->sample(splitter_.batch(i));
@@ -188,26 +195,6 @@ Trainer::train_epoch()
             handoff.fail(std::current_exception());
         }
     });
-
-    // An early exit (an exception) stops the producer wherever it
-    // waits and joins it; the normal path joins it after the loop.
-    struct StopProducer
-    {
-        std::thread &thread;
-        std::atomic<bool> &stop;
-        util::BoundedQueue<PreparedBatch> &queue;
-        std::counting_semaphore<> &slots;
-
-        ~StopProducer()
-        {
-            if (!thread.joinable())
-                return;
-            stop.store(true, std::memory_order_release);
-            queue.close();
-            slots.release();
-            thread.join();
-        }
-    } stop_producer{producer, stop, handoff, panel_slots};
 
     // Storage lookahead: batch b is computed once batches up to
     // b + depth have arrived, so their node sets prefetch storage
