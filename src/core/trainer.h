@@ -124,9 +124,9 @@ struct TrainEpochStats
      *  hits are in residency.features. */
     match::GatherStats gather;
     /** The producer-to-consumer batch hand-off. pop_blocked counts the
-     *  batches the consumer had to wait for (preparation not hidden
-     *  behind compute); push_blocked the batches the producer held
-     *  while the consumer was busy. */
+     *  batches the consumer had to wait for: preparation that compute
+     *  did not hide. (The producer waits for a free panel slot before
+     *  it prepares a batch, so its pushes rarely block.) */
     util::QueueStats handoff_queue;
     /** Modelled devices of the accounting pass (1 = off). */
     int num_gpus = 1;

@@ -159,7 +159,9 @@ GatherEngine::acquire_panel(int64_t rows, int64_t dim)
     // The warmest free buffer that fits is reused whole. When none
     // fits, the warmest is dropped and replaced by one with 1/8 slack,
     // so each buffer tracks the largest panel it served instead of
-    // keeping every size it ever grew through.
+    // keeping every size it ever grew through. The dropped buffer is
+    // freed, and its replacement allocated, outside the pool lock that
+    // releasing panels take.
     std::optional<PanelPool::Buffer> buffer, dropped;
     size_t capacity = bytes + bytes / 8;
     {
