@@ -154,32 +154,44 @@ TEST(Determinism, PhaseBreakdownStableAcrossEpochReplay)
     EXPECT_EQ(ra.phases.sample_total(), rb.phases.sample_total());
 }
 
-/** One preset of the pinned run_epoch digest. */
+/** One configuration of the pinned run_epoch digest. */
 struct DigestCase
 {
     const char *name;
     core::Framework framework;
     bool random_walk;
+    int gpus;
+    int window;          ///< PipelineOptions::reorder_window
+    int64_t max_batches;
+    double cache_ratio;  ///< Negative = from device memory.
     uint64_t golden;
 };
 
 /**
  * Pinned from reference runs of the sequential run_epoch; move only
  * when sampling, Match/Reorder, the cost model or the epoch
- * aggregation change behaviour. One GPU and 20 batches give one
- * default-size Reorder window of 16 and one of 4 per epoch.
+ * aggregation change behaviour. On one GPU, 20 batches give one
+ * default-size Reorder window of 16 and one of 4 per epoch. The
+ * two-GPU FastGL case gives each GPU windows of 4, so the epoch
+ * crosses from GPU 0's last window to GPU 1's first. GNNLab on two
+ * GPUs dedicates one to sampling and gives the other a static cache
+ * of a fifth of the rows.
  */
 constexpr DigestCase kDigestCases[] = {
-    {"fastgl", core::Framework::kFastGL, false,
+    {"fastgl", core::Framework::kFastGL, false, 1, 16, 20, -1.0,
      0xDC447306ABFD74D3ULL},
-    {"gnnlab", core::Framework::kGnnLab, false,
+    {"gnnlab", core::Framework::kGnnLab, false, 1, 16, 20, -1.0,
      0x71192302BA8623F0ULL},
-    {"dgl", core::Framework::kDgl, false,
+    {"dgl", core::Framework::kDgl, false, 1, 16, 20, -1.0,
      0x8B8727818395A3F7ULL},
-    {"pyg", core::Framework::kPyG, false,
+    {"pyg", core::Framework::kPyG, false, 1, 16, 20, -1.0,
      0x5FF2FA24A510BB66ULL},
-    {"fastgl_walk", core::Framework::kFastGL, true,
+    {"fastgl_walk", core::Framework::kFastGL, true, 1, 16, 20, -1.0,
      0xC7ADBEFB5F2786A5ULL},
+    {"fastgl_2gpu", core::Framework::kFastGL, false, 2, 4, 12, -1.0,
+     0xA8184877A2A40274ULL},
+    {"gnnlab_2gpu_cache", core::Framework::kGnnLab, false, 2, 4, 12, 0.2,
+     0x68B6CD5A58D248FFULL},
 };
 
 core::PipelineOptions
@@ -187,9 +199,11 @@ digest_options(const DigestCase &c)
 {
     core::PipelineOptions opts;
     opts.fw = core::framework_preset(c.framework);
-    opts.num_gpus = 1;
+    opts.num_gpus = c.gpus;
+    opts.reorder_window = c.window;
+    opts.cache_ratio = c.cache_ratio;
     opts.batch_size = 24; // 21 batches of the replica's 503 seeds
-    opts.max_batches = 20;
+    opts.max_batches = c.max_batches;
     opts.use_random_walk = c.random_walk;
     return opts;
 }
@@ -237,7 +251,10 @@ TEST(Determinism, PipelineEpochDigestIsPinned)
             [&] { return seq.run_epoch(); },
             [&] { return seq.last_epoch_stage_times(); });
         EXPECT_EQ(digest, c.golden) << c.name;
-        EXPECT_EQ(seq.last_epoch_stage_times().size(), 20u) << c.name;
+        const int64_t trainers = seq.total_trainers();
+        EXPECT_EQ(int64_t(seq.last_epoch_stage_times().size()),
+                  (c.max_batches + trainers - 1) / trainers)
+            << c.name;
 
         for (int threads : {1, 4}) {
             core::AsyncPipelineOptions async;
