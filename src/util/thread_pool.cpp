@@ -42,21 +42,23 @@ ThreadPool::parallel_for(size_t count,
 {
     if (count == 0)
         return;
-    size_t chunks = std::min(count, workers_.size());
-    size_t chunk_size = (count + chunks - 1) / chunks;
-    std::vector<std::future<void>> futures;
-    futures.reserve(chunks);
-    for (size_t c = 0; c < chunks; ++c) {
-        size_t begin = c * chunk_size;
-        size_t end = std::min(count, begin + chunk_size);
-        if (begin >= end)
-            break;
-        futures.push_back(submit([&fn, begin, end] { fn(begin, end); }));
+    const size_t chunks = std::min(count, workers_.size());
+    const size_t chunk_size = (count + chunks - 1) / chunks;
+    TaskGroup group(*this, chunks);
+    for (size_t begin = 0; begin < count; begin += chunk_size) {
+        const size_t end = std::min(count, begin + chunk_size);
+        group.run([&fn, begin, end] { fn(begin, end); });
     }
-    // Wait for every chunk before surfacing the first failure so no
-    // chunk is still touching caller state when we unwind.
+    group.wait();
+}
+
+void
+TaskGroup::wait()
+{
+    // Wait for every task before surfacing the first failure so no
+    // task is still touching caller state when the caller unwinds.
     std::exception_ptr first;
-    for (auto &future : futures) {
+    for (std::future<void> &future : futures_) {
         try {
             future.get();
         } catch (...) {
@@ -64,6 +66,7 @@ ThreadPool::parallel_for(size_t count,
                 first = std::current_exception();
         }
     }
+    futures_.clear();
     if (first)
         std::rethrow_exception(first);
 }

@@ -1,8 +1,9 @@
 /**
  * @file
  * Fixed-size thread pool used for genuinely concurrent execution of the
- * Fused-Map hash insertions, the parallel samplers, and the stages of
- * core::AsyncPipeline.
+ * Fused-Map hash insertions, the compute kernels, and the sampling of
+ * core::Pipeline's Reorder windows; and TaskGroup, which waits for a
+ * set of the pool's tasks together.
  */
 #pragma once
 
@@ -78,6 +79,52 @@ class ThreadPool
     mutable std::mutex mutex_;
     std::condition_variable cv_;
     bool stop_ = false;
+};
+
+/**
+ * Tasks submitted to one pool and waited for together. wait() returns
+ * once every task has finished, then rethrows the first failure in
+ * submission order. The destructor waits as well (and drops any
+ * failure), so on every exit of the owning scope, an exception
+ * included, no task outlives the state it writes. Declare that state
+ * before the group. A group is not thread safe: one thread runs and
+ * waits.
+ */
+class TaskGroup
+{
+  public:
+    explicit TaskGroup(ThreadPool &pool, size_t expected_tasks = 0)
+        : pool_(pool)
+    {
+        futures_.reserve(expected_tasks);
+    }
+
+    ~TaskGroup()
+    {
+        for (std::future<void> &future : futures_)
+            future.wait();
+    }
+
+    TaskGroup(const TaskGroup &) = delete;
+    TaskGroup &operator=(const TaskGroup &) = delete;
+
+    /** Submit @p task to the pool as a member of this group. */
+    template <typename F>
+    void
+    run(F &&task)
+    {
+        futures_.push_back(pool_.submit(std::forward<F>(task)));
+    }
+
+    /**
+     * Wait for every task run so far, then rethrow the first failure;
+     * the group is empty afterwards and may run more tasks.
+     */
+    void wait();
+
+  private:
+    ThreadPool &pool_;
+    std::vector<std::future<void>> futures_;
 };
 
 } // namespace util

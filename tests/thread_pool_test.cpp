@@ -2,14 +2,17 @@
  * @file
  * Edge-case tests for util::ThreadPool: value-returning submit,
  * exception propagation through futures (the pool must survive a
- * throwing task), and parallel_for boundary conditions.
+ * throwing task), parallel_for boundary conditions, and
+ * util::TaskGroup's wait-for-all on wait() and on destruction.
  */
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -131,6 +134,61 @@ TEST(ThreadPool, PendingCountDrainsToZero)
     for (auto &f : futures)
         f.get();
     EXPECT_EQ(pool.pending(), 0u);
+}
+
+/** Sleep long enough that a wait which returned early would be seen. */
+void
+linger()
+{
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+TEST(ThreadPool, TaskGroupRethrowsFirstFailureAfterEveryTaskFinished)
+{
+    util::ThreadPool pool(3);
+    std::atomic<int> finished{0};
+    util::TaskGroup group(pool);
+    group.run([] { throw std::runtime_error("first"); });
+    group.run([&] {
+        linger();
+        finished.fetch_add(1);
+    });
+    group.run([] { throw std::logic_error("second"); });
+    group.run([&] {
+        linger();
+        finished.fetch_add(1);
+    });
+    try {
+        group.wait();
+        FAIL() << "wait() did not rethrow";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "first");
+    }
+    EXPECT_EQ(finished.load(), 2);
+
+    // The group is empty again and runs a second round.
+    group.run([&] { finished.fetch_add(1); });
+    group.wait();
+    EXPECT_EQ(finished.load(), 3);
+}
+
+TEST(ThreadPool, TaskGroupDestructorWaitsForItsTasks)
+{
+    util::ThreadPool pool(2);
+    std::atomic<int> finished{0};
+    {
+        util::TaskGroup group(pool);
+        for (int i = 0; i < 4; ++i) {
+            group.run([&] {
+                linger();
+                finished.fetch_add(1);
+            });
+        }
+        // A failure nobody waits for is dropped, not thrown.
+        group.run([] { throw std::runtime_error("unobserved"); });
+    }
+    EXPECT_EQ(finished.load(), 4);
+    EXPECT_EQ(pool.submit([] { return 5; }).get(), 5);
 }
 
 } // namespace
