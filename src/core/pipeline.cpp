@@ -213,7 +213,7 @@ Pipeline::runs_match() const
 }
 
 Pipeline::BatchRecord
-Pipeline::plan_transfer(const sample::SampledSubgraph &sg,
+Pipeline::process_batch(const sample::SampledSubgraph &sg,
                         const match::NodeSet &set,
                         match::Matcher &matcher) const
 {
@@ -293,22 +293,8 @@ Pipeline::plan_transfer(const sample::SampledSubgraph &sg,
                             double(sg.topology_bytes()) / spec_.pcie_bw;
     }
 
-    return rec;
-}
-
-double
-Pipeline::compute_time(const sample::SampledSubgraph &sg) const
-{
-    return cost_model_.training_step(opts_.model, sg).total();
-}
-
-Pipeline::BatchRecord
-Pipeline::process_batch(const sample::SampledSubgraph &sg,
-                        const match::NodeSet &set,
-                        match::Matcher &matcher) const
-{
-    BatchRecord rec = plan_transfer(sg, set, matcher);
-    rec.compute = compute_time(sg);
+    // --- Compute phase ---
+    rec.compute = cost_model_.training_step(opts_.model, sg).total();
     return rec;
 }
 
@@ -322,62 +308,57 @@ Pipeline::plan_epoch()
     plan.num_batches = splitter_.num_batches();
     if (opts_.max_batches > 0)
         plan.num_batches = std::min(plan.num_batches, opts_.max_batches);
-    plan.window = std::max(1, opts_.reorder_window);
 
     // Round-robin assignment of batches to trainer GPUs across every
-    // machine (Section 7.1 extension: machines add data parallelism).
-    const int total = total_trainers();
-    plan.per_gpu.assign(static_cast<size_t>(total), {});
-    for (int64_t b = 0; b < plan.num_batches; ++b)
-        plan.per_gpu[static_cast<size_t>(b % total)].push_back(b);
+    // machine (Section 7.1 extension: machines add data parallelism),
+    // each GPU's batches cut into Reorder windows.
+    const int64_t total = total_trainers();
+    const int64_t span = std::max(1, opts_.reorder_window) * total;
+    for (int64_t g = 0; g < total; ++g) {
+        for (int64_t first = g; first < plan.num_batches; first += span) {
+            PlannedWindow &window = plan.windows.emplace_back();
+            window.gpu = static_cast<size_t>(g);
+            const int64_t end = std::min(plan.num_batches, first + span);
+            for (int64_t b = first; b < end; b += total)
+                window.batches.push_back(b);
+        }
+    }
     return plan;
 }
 
-util::ThreadPool *
-Pipeline::window_pool(size_t num_batches) const
+util::ThreadPool &
+Pipeline::window_pool()
 {
-    // Below this window size the sampling and the O(n²) intersection
-    // work are too small to amortise handing chunks to workers.
-    constexpr size_t kParallelWindowThreshold = 8;
-    if (num_batches < kParallelWindowThreshold)
-        return nullptr;
-    std::call_once(window_pool_once_, [this] {
+    if (!window_pool_) {
         const unsigned hw = std::thread::hardware_concurrency();
         window_pool_ = std::make_unique<util::ThreadPool>(
             std::min<size_t>(hw == 0 ? 2 : hw, 8));
-    });
-    return window_pool_.get();
+    }
+    return *window_pool_;
 }
 
-Pipeline::SampledWindow
-Pipeline::sample_window(std::span<const int64_t> batches)
+void
+Pipeline::submit_window(int64_t epoch, std::span<const int64_t> batches,
+                        SampledWindow &window, util::TaskGroup &group)
 {
-    SampledWindow window(batches.size());
-    util::ThreadPool *pool = window_pool(batches.size());
-    const size_t shards =
-        pool ? std::min(batches.size(), pool->size()) : 1;
+    window = SampledWindow(batches.size());
+    const size_t shards = std::min(batches.size(), window_pool().size());
     while (shard_samplers_.size() + 1 < shards)
         shard_samplers_.push_back(std::make_unique<ThreadSampler>(*this));
-    auto fill_shard = [&](size_t s) {
+    for (size_t s = 0; s < shards; ++s) {
         ThreadSampler &sampler =
             s == 0 ? sampler_ : *shard_samplers_[s - 1];
-        for (size_t i = s; i < batches.size(); i += shards)
-            sampler.fill(*this, epoch_, batches[i], window, i);
-    };
-    if (shards == 1) {
-        fill_shard(0);
-        return window;
+        group.run([this, epoch, batches, &window, &sampler, s, shards] {
+            for (size_t i = s; i < batches.size(); i += shards)
+                sampler.fill(*this, epoch, batches[i], window, i);
+        });
     }
-    pool->parallel_for(shards, [&](size_t begin, size_t end) {
-        for (size_t s = begin; s < end; ++s)
-            fill_shard(s);
-    });
-    return window;
 }
 
 std::vector<size_t>
 Pipeline::window_order(const match::Matcher &matcher,
-                       const SampledWindow &window) const
+                       const SampledWindow &window,
+                       util::ThreadPool &pool) const
 {
     const std::vector<match::NodeSet> &sets = window.sets;
     std::vector<size_t> order(sets.size());
@@ -388,13 +369,16 @@ Pipeline::window_order(const match::Matcher &matcher,
         // Chain on raw overlap counts (= the rows Match saves),
         // anchored at the batch resident on the GPU from the
         // previous window so the hand-over also reuses. The pairwise
-        // counts row-shard over the match pool for big windows; the
-        // result is bit-identical to the sequential computation.
+        // counts row-shard over the pool for windows big enough to
+        // amortise the hand-off; the result is bit-identical to the
+        // sequential computation.
+        constexpr size_t kParallelWindowThreshold = 8;
         const match::NodeSet *anchor =
             matcher.resident().size() > 0 ? &matcher.resident()
                                           : nullptr;
         match::ReorderResult rr = match::greedy_reorder_max_overlap(
-            anchor, sets, window_pool(sets.size()));
+            anchor, sets,
+            sets.size() >= kParallelWindowThreshold ? &pool : nullptr);
         for (size_t i = 0; i < order.size(); ++i)
             order[i] = static_cast<size_t>(rr.order[i]);
     }
@@ -405,25 +389,36 @@ EpochResult
 Pipeline::run_epoch()
 {
     const EpochPlan plan = plan_epoch();
-    const int total = static_cast<int>(plan.per_gpu.size());
-    const size_t window = static_cast<size_t>(plan.window);
-
+    const std::vector<PlannedWindow> &windows = plan.windows;
     std::vector<std::vector<BatchRecord>> records(
-        static_cast<size_t>(total));
+        static_cast<size_t>(total_trainers()));
 
-    for (int g = 0; g < total; ++g) {
-        match::Matcher matcher;
-        const std::span<const int64_t> batches =
-            plan.per_gpu[static_cast<size_t>(g)];
-        for (size_t w = 0; w < batches.size(); w += window) {
-            // Sample the window up front (paper Fig. 5: the Map-Fused
-            // Sampler produces n mini-batches before Reorder runs).
-            const SampledWindow sampled = sample_window(
-                batches.subspan(w, std::min(window, batches.size() - w)));
-            for (size_t i : window_order(matcher, sampled)) {
-                records[static_cast<size_t>(g)].push_back(process_batch(
-                    sampled.subgraphs[i], sampled.sets[i], matcher));
-            }
+    // The Map-Fused Sampler produces a window's n mini-batches before
+    // Reorder runs (paper Fig. 5), and samples window i + 1 while
+    // window i is reordered and matched here. `ahead` is declared
+    // before `sampling`, whose destructor waits for the shards filling
+    // it on every exit.
+    util::ThreadPool &pool = window_pool();
+    SampledWindow ahead;
+    util::TaskGroup sampling(pool);
+    if (!windows.empty())
+        submit_window(epoch_, windows[0].batches, ahead, sampling);
+    match::Matcher matcher;
+    for (size_t w = 0; w < windows.size(); ++w) {
+        sampling.wait();
+        const SampledWindow sampled = std::move(ahead);
+        if (w > 0 && windows[w].gpu != windows[w - 1].gpu)
+            matcher.reset();
+        const std::vector<size_t> order =
+            window_order(matcher, sampled, pool);
+        // Submitted only now: the pool runs tasks first in, first out,
+        // so Reorder's pairwise counts would queue behind them.
+        if (w + 1 < windows.size())
+            submit_window(epoch_, windows[w + 1].batches, ahead, sampling);
+        for (size_t i : order) {
+            records[windows[w].gpu].push_back(
+                process_batch(sampled.subgraphs[i], sampled.sets[i],
+                              matcher));
         }
     }
     return finalize_epoch(records, plan.num_batches);

@@ -7,19 +7,25 @@
  * This is the engine behind every end-to-end figure in the paper (Figs. 3,
  * 9, 10, 13, 14, 15): the sampling, hashing, matching and caching all
  * really execute; the seconds come from sim::KernelModel, and a batch's
- * PCIe seconds from the formula in plan_transfer.
+ * PCIe seconds from the formula in process_batch.
  *
  * run_epoch samples each Reorder window's batches in parallel on the
  * window pool, and the task that samples a batch also builds its
- * match::NodeSet. Reorder and Match then run on the calling thread in
- * window order. Each batch is a pure function of (epoch, index), so the
- * results are the same bits at any pool width.
+ * match::NodeSet. While the calling thread reorders and matches window
+ * w, the pool samples window w + 1: the paper's Fig. 5 overlap, run
+ * with real threads. The modelled numbers keep their bits at any pool
+ * width, for two reasons:
+ *  - every batch samples from its own derived RNG stream
+ *    (util::derive_seed of the seed, the epoch and the batch index), so
+ *    which thread samples it, and when, cannot change it;
+ *  - Reorder and Match, the only stateful steps (the resident batch
+ *    and the cache's counters), run on the calling thread, window by
+ *    window in the order of the sequential definition.
  */
 #pragma once
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <vector>
@@ -40,8 +46,6 @@
 namespace fastgl {
 namespace core {
 
-class AsyncPipeline;
-
 /** Everything configurable about one pipeline run. */
 struct PipelineOptions
 {
@@ -51,7 +55,9 @@ struct PipelineOptions
     compute::ModelConfig model;  ///< in_dim/num_classes 0 = from dataset.
     /**
      * Batches sampled per Reorder window (the paper's n). Windows also
-     * bound how much host memory holds presampled subgraphs.
+     * bound how much host memory holds presampled subgraphs: at most
+     * two windows of subgraphs are alive, the one being matched and
+     * the one being sampled.
      */
     int reorder_window = 16;
     /**
@@ -122,13 +128,6 @@ class Pipeline
     }
 
   private:
-    /**
-     * The overlapped executor reuses the private per-batch machinery so
-     * its modelled numbers are produced by exactly the code path the
-     * sequential executor runs (the bit-identical guarantee).
-     */
-    friend class AsyncPipeline;
-
     struct BatchRecord
     {
         double sample = 0.0;
@@ -145,14 +144,23 @@ class Pipeline
         int64_t uniques = 0;
     };
 
-    /** One epoch's work assignment, shared by both executors. */
+    /** One Reorder window of one trainer GPU's batches. */
+    struct PlannedWindow
+    {
+        size_t gpu = 0;
+        std::vector<int64_t> batches;
+    };
+
+    /** One epoch's work assignment. */
     struct EpochPlan
     {
         int64_t num_batches = 0;
-        /** Batches per Reorder window (>= 1). */
-        int64_t window = 1;
-        /** Round-robin batch indices per trainer GPU. */
-        std::vector<std::vector<int64_t>> per_gpu;
+        /**
+         * Every Reorder window in run order: GPU 0's windows, then GPU
+         * 1's, and so on. Of G trainer GPUs, GPU g runs batches g,
+         * g + G, g + 2G, ... (round robin).
+         */
+        std::vector<PlannedWindow> windows;
     };
 
     /**
@@ -172,10 +180,10 @@ class Pipeline
     /**
      * The pipeline's k-hop or random-walk sampler. The pipeline holds
      * one per window-pool shard (shard 0 is sampler_, which
-     * sample_batch also uses) and each AsyncPipeline producer builds
-     * its own: instances are not shareable across threads, but any
-     * instance yields identical output for the same (epoch, index)
-     * because sampling draws from a per-batch derived RNG stream.
+     * sample_batch also uses): instances are not shareable across
+     * threads, but any instance yields identical output for the same
+     * (epoch, index) because sampling draws from a per-batch derived
+     * RNG stream.
      */
     struct ThreadSampler
     {
@@ -196,7 +204,7 @@ class Pipeline
         std::unique_ptr<sample::RandomWalkSampler> walk;
     };
 
-    /** Shuffle, advance the epoch counter, assign batches to GPUs. */
+    /** Shuffle, advance the epoch counter, cut the batches into windows. */
     EpochPlan plan_epoch();
 
     /** RNG stream seed of batch @p index in epoch @p epoch. */
@@ -213,37 +221,29 @@ class Pipeline
     bool runs_match() const;
 
     /**
-     * Sample @p batches of the current epoch, with their Match sets.
-     * A window big enough for window_pool is sharded over the pool:
+     * Start sampling @p batches of epoch @p epoch, with their Match
+     * sets, into @p window on the window pool, as tasks of @p group:
      * shard s of S fills slots s, s + S, ... with its own
-     * ThreadSampler.
+     * ThreadSampler. @p window is ready once @p group has been waited
+     * for. Call only while @p group holds no task, since the shards'
+     * samplers are reused.
      */
-    SampledWindow sample_window(std::span<const int64_t> batches);
+    void submit_window(int64_t epoch, std::span<const int64_t> batches,
+                       SampledWindow &window, util::TaskGroup &group);
 
     /**
      * Reorder decision for one window against the resident batch,
-     * chained on the window's own Match sets.
+     * chained on the window's own Match sets. A window of at least 8
+     * batches row-shards its pairwise counts over @p pool.
      */
     std::vector<size_t> window_order(const match::Matcher &matcher,
-                                     const SampledWindow &window) const;
+                                     const SampledWindow &window,
+                                     util::ThreadPool &pool) const;
 
     /**
-     * Sample/id-map/io accounting for one batch — everything except the
-     * compute phase. @p set is @p sg's Match set (unused unless the
-     * preset runs Match). Mutates only @p matcher (caller-owned, per
-     * GPU) and the cache's atomic statistics; safe to run concurrently
-     * across GPUs.
-     */
-    BatchRecord plan_transfer(const sample::SampledSubgraph &sg,
-                              const match::NodeSet &set,
-                              match::Matcher &matcher) const;
-
-    /** Modelled compute seconds of one batch (pure). */
-    double compute_time(const sample::SampledSubgraph &sg) const;
-
-    /**
-     * plan_transfer + compute_time in one step: run_epoch's path.
-     * AsyncPipeline runs the two on separate stages.
+     * Modelled sample, id-map, io and compute accounting for one batch.
+     * @p set is @p sg's Match set (unused unless the preset runs
+     * Match). Mutates only @p matcher and the cache's statistics.
      */
     BatchRecord process_batch(const sample::SampledSubgraph &sg,
                               const match::NodeSet &set,
@@ -257,17 +257,13 @@ class Pipeline
     void build_cache();
 
     /**
-     * Shared worker pool for a window's sampling (run_epoch only) and
-     * its O(n²) Reorder set algebra, created lazily the first time a
-     * window is big enough to benefit (windows under 8 batches stay
-     * sequential — the fork/join overhead would dominate). Thread
-     * safe: gather threads of the overlapped executor call
-     * window_order concurrently, and both the lazy construction
-     * (call_once) and ThreadPool::submit are safe under contention.
-     * Sampled batches and the row-sharded matrix are bit-identical for
-     * any worker count, so the pool never changes results.
+     * Worker pool for the windows' sampling and their O(n²) Reorder
+     * set algebra, created by the first epoch with min(hardware
+     * threads, 8) workers. Sampled batches and the row-sharded matrix
+     * are bit-identical for any worker count, so the pool never
+     * changes results.
      */
-    util::ThreadPool *window_pool(size_t num_batches) const;
+    util::ThreadPool &window_pool();
 
     const graph::Dataset &dataset_;
     PipelineOptions opts_;
@@ -289,8 +285,7 @@ class Pipeline
     uint64_t param_bytes_ = 0;
     int epoch_ = 0;
     std::vector<BatchStageTimes> last_stages_;
-    mutable std::once_flag window_pool_once_;
-    mutable std::unique_ptr<util::ThreadPool> window_pool_;
+    std::unique_ptr<util::ThreadPool> window_pool_;
 };
 
 /** Analytic parameter byte count for @p config (no model instantiation). */

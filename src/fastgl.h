@@ -27,7 +27,6 @@
 #include "compute/loss.h"
 #include "compute/metrics.h"
 #include "compute/optimizer.h"
-#include "core/async_pipeline.h"
 #include "core/framework_config.h"
 #include "core/memory_estimator.h"
 #include "core/multi_gpu.h"

@@ -24,9 +24,7 @@
  *
  * Threading: a Profiler instance is single-writer, exactly like the
  * serving sequencer's virtual state — one thread records during a run,
- * other threads may read only after the owner's join. AsyncPipeline
- * feeds it post-join from the per-position record array (deterministic
- * order), never from its concurrent drains.
+ * other threads may read only after the owner's join.
  */
 #pragma once
 

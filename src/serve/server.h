@@ -5,7 +5,7 @@
  * into a request/response service with dynamic micro-batching, an
  * embedding cache, and SLO-aware admission control.
  *
- * Two clocks coexist, exactly as in core::AsyncPipeline:
+ * Two clocks coexist, as in core::Pipeline and core::Trainer:
  *
  *  - the *virtual* clock: request arrivals, batch close times, queue
  *    depths, admission decisions, and every latency a client observes
@@ -29,8 +29,7 @@
  * the harness owns the stage graph, shutdown, error propagation and
  * statistics, and the driver is the sequencer body. The open-loop
  * driver replays requests in arrival order through a
- * util::InOrderRing, the reassembly ring core::AsyncPipeline uses per
- * GPU; the closed-loop driver runs the client event loop and parks
+ * util::InOrderRing; the closed-loop driver runs the client event loop and parks
  * ego-nets by request id until their client issues them. Either way
  * the sequencer runs the entire virtual-time state machine — batchers,
  * caches, admission — alone, the same single-writer discipline that

@@ -2,9 +2,9 @@
  * @file
  * Sampler-lookahead prefetcher for the storage tier.
  *
- * Sampling runs ahead of gathering (core::AsyncPipeline's producer and
- * the trainer's in-order lookahead buffer both know future batches'
- * node sets before their features are needed), so the storage blocks a
+ * Sampling runs ahead of gathering (the trainer's in-order lookahead
+ * buffer knows future batches' node sets before their features are
+ * needed), so the storage blocks a
  * future batch will touch can be read while earlier batches compute.
  * The prefetcher tracks a sliding window of registered future batches
  * with per-block reference counts: a block is issued to the IoScheduler

@@ -19,8 +19,8 @@
  *     overflow into one block so steady state is a single bump region.
  *
  * Not thread safe: each consumer (sampler instance, worker thread) owns
- * its own arena, matching the "per-thread sampler clone" design of
- * core::AsyncPipeline.
+ * its own arena, matching core::Pipeline's one sampler per window-pool
+ * shard.
  */
 #pragma once
 

@@ -5,9 +5,8 @@
  *
  * Producer threads finish items out of order, but the stage after them
  * is stateful and must consume items strictly by sequence number —
- * core::AsyncPipeline replays each GPU's windows through its
- * Match/Reorder chain, serve::Server replays requests through its
- * virtual-clock event machine. The sequencer parks each delivered item
+ * serve::Server replays requests through its virtual-clock event
+ * machine. The sequencer parks each delivered item
  * at slot `seq % capacity` until every earlier sequence number has
  * arrived, then releases the run of consecutive items:
  *
@@ -23,7 +22,7 @@
  * allocation-free while the semantics stay unbounded.
  *
  * Not thread-safe: one sequencer thread owns the ring, or callers
- * serialise on their own lock (AsyncPipeline's per-GPU mutex).
+ * serialise on their own lock.
  */
 #pragma once
 

@@ -31,8 +31,9 @@ splitmix64(uint64_t &state)
  *
  * Used for per-batch RNG streams: sampling batch `index` of epoch
  * `stream` under seed `base` yields the same subgraph no matter which
- * thread (or how many threads) runs it, which is what lets the
- * overlapped AsyncPipeline stay bit-identical to sequential execution.
+ * thread (or how many threads) runs it, which is what lets
+ * core::Pipeline sample windows on a pool and stay bit-identical to
+ * sequential execution.
  */
 inline uint64_t
 derive_seed(uint64_t base, uint64_t stream, uint64_t index)

@@ -2,12 +2,12 @@
  * @file
  * Cooperative shutdown of a multi-stage thread graph.
  *
- * Every overlapped executor in FastGL (core::AsyncPipeline, the serving
- * loop in fastgl::serve) shares one teardown idiom: a stop flag the
- * stages poll, plus a "close everything" action (typically closing the
- * BoundedQueues between stages) that must run exactly when a run is in
- * flight. StageShutdown packages that idiom so each executor stops
- * hand-rolling the same flag + mutex + callback trio.
+ * The serving loop in fastgl::serve tears its stage graph down with one
+ * idiom: a stop flag the stages poll, plus a "close everything" action
+ * (typically closing the BoundedQueues between stages) that must run
+ * exactly when a run is in flight. StageShutdown packages that idiom,
+ * so a stage graph does not hand-roll the same flag + mutex + callback
+ * trio.
  *
  * Lifecycle per run:
  *

@@ -1,15 +1,14 @@
 /**
  * @file
- * Determinism guarantees of the epoch executors: the same
+ * Determinism guarantees of the epoch drivers: the same
  * PipelineOptions seed must produce bit-identical EpochResult /
- * PhaseBreakdown numbers across runs, across executors, and across
- * AsyncPipeline thread counts — the property that makes the overlapped
- * executor a drop-in replacement for the sequential one. The trainer's
+ * PhaseBreakdown numbers across runs, and run_epoch, which samples the
+ * next Reorder window on its pool while this one is matched, must give
+ * the pinned digests of the sequential definition. The trainer's
  * epochs are pinned the same way, at kernel and gather widths 1 and 4.
  */
 #include <gtest/gtest.h>
 
-#include "core/async_pipeline.h"
 #include "core/pipeline.h"
 #include "core/trainer.h"
 #include "graph/datasets.h"
@@ -70,32 +69,6 @@ TEST(Determinism, SequentialSameSeedSameNumbersAcrossRuns)
     core::Pipeline b(products(), opts);
     for (int epoch = 0; epoch < 2; ++epoch)
         expect_identical(a.run_epoch(), b.run_epoch());
-}
-
-TEST(Determinism, AsyncSameSeedSameNumbersAcrossRuns)
-{
-    const auto opts = options_with_seed(2024);
-    core::AsyncPipelineOptions async;
-    async.sampler_threads = 4;
-    core::AsyncPipeline a(products(), opts, async);
-    core::AsyncPipeline b(products(), opts, async);
-    for (int epoch = 0; epoch < 2; ++epoch)
-        expect_identical(a.run_epoch(), b.run_epoch());
-}
-
-TEST(Determinism, AsyncMatchesSequentialAcrossThreadCounts)
-{
-    const auto opts = options_with_seed(99);
-    core::Pipeline seq(products(), opts);
-    const auto reference = seq.run_epoch();
-
-    // The ISSUE's acceptance matrix: {1, 2, 8} sampler threads.
-    for (int threads : {1, 2, 8}) {
-        core::AsyncPipelineOptions async;
-        async.sampler_threads = threads;
-        core::AsyncPipeline pipe(products(), opts, async);
-        expect_identical(reference, pipe.run_epoch());
-    }
 }
 
 TEST(Determinism, BatchSamplingIsOrderIndependent)
@@ -230,45 +203,20 @@ fold_epoch(uint64_t h, const core::EpochResult &r,
     return h;
 }
 
-/** Two epochs of @p run_epoch, folded; @p stages reads its stage times. */
-template <typename RunEpoch, typename Stages>
-uint64_t
-two_epoch_digest(RunEpoch &&run_epoch, Stages &&stages)
-{
-    uint64_t h = util::kFnvOffset;
-    for (int epoch = 0; epoch < 2; ++epoch) {
-        const core::EpochResult r = run_epoch();
-        h = fold_epoch(h, r, stages());
-    }
-    return h;
-}
-
 TEST(Determinism, PipelineEpochDigestIsPinned)
 {
     for (const DigestCase &c : kDigestCases) {
-        core::Pipeline seq(products(), digest_options(c));
-        const uint64_t digest = two_epoch_digest(
-            [&] { return seq.run_epoch(); },
-            [&] { return seq.last_epoch_stage_times(); });
+        core::Pipeline pipe(products(), digest_options(c));
+        uint64_t digest = util::kFnvOffset;
+        for (int epoch = 0; epoch < 2; ++epoch) {
+            const core::EpochResult r = pipe.run_epoch();
+            digest = fold_epoch(digest, r, pipe.last_epoch_stage_times());
+        }
         EXPECT_EQ(digest, c.golden) << c.name;
-        const int64_t trainers = seq.total_trainers();
-        EXPECT_EQ(int64_t(seq.last_epoch_stage_times().size()),
+        const int64_t trainers = pipe.total_trainers();
+        EXPECT_EQ(int64_t(pipe.last_epoch_stage_times().size()),
                   (c.max_batches + trainers - 1) / trainers)
             << c.name;
-
-        for (int threads : {1, 4}) {
-            core::AsyncPipelineOptions async;
-            async.sampler_threads = threads;
-            core::AsyncPipeline pipe(products(), digest_options(c), async);
-            EXPECT_EQ(two_epoch_digest(
-                          [&] { return pipe.run_epoch(); },
-                          [&] {
-                              return pipe.modelled()
-                                  .last_epoch_stage_times();
-                          }),
-                      c.golden)
-                << c.name << " at " << threads << " sampler thread(s)";
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for util::StageShutdown — the close-queues/join/drain idiom
- * extracted from core::AsyncPipeline and shared with serve::Server.
+ * Tests for util::StageShutdown — the close-queues/join/drain idiom of
+ * serve::Server's stage graph.
  * The load-bearing property: a request_stop() racing a running stage
  * graph closes every queue exactly once and never deadlocks, no matter
  * where the stages are blocked (full push, empty pop) when it lands.
@@ -36,8 +36,8 @@ TEST(StageShutdown, BeginRunResetsTheFlagForTheNextRun)
     ASSERT_TRUE(shutdown.stop_requested());
 
     // A stop that happened before the run began targeted no run; the
-    // new run starts clean (AsyncPipeline epoch 2 after a stopped
-    // epoch 1 must execute fully).
+    // new run starts clean (a serve() after a stopped one must execute
+    // fully).
     int closes = 0;
     shutdown.begin_run([&closes] { ++closes; });
     EXPECT_FALSE(shutdown.stop_requested());

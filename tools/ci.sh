@@ -59,17 +59,17 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 # The concurrency suite under ThreadSanitizer. Pipeline. and
-# Determinism cover run_epoch sampling a Reorder window on the window
-# pool (Pipeline.MoreGpusReduceEpochTime and
-# Pipeline.MultiMachineSplitsWorkAndPaysNetwork reach a pooled window);
-# NodeSet covers bitmap builds on several threads at once; Trainer and
-# Determinism cover train_epoch's batch producer thread.
+# Determinism cover run_epoch sampling the next Reorder window on the
+# window pool while this one is matched, and ThreadPool covers the
+# TaskGroup that joins those tasks; NodeSet covers bitmap builds on
+# several threads at once; Trainer and Determinism cover train_epoch's
+# batch producer thread.
 if [[ "${FASTGL_TSAN:-0}" == "1" ]]; then
     echo "==> ThreadSanitizer configuration (concurrency suite)"
     run_config build-tsan -DFASTGL_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-        -R 'BoundedQueue|ThreadPool|AsyncPipeline|Pipeline\.|Determinism|NodeSet|Trainer|Serve|StageShutdown|ComputeKernels|Gather|FrequencyHashmap|FeaturePanel|MultiGpu|Partition|PeerTopology|OocStore|StorageLink|Prefetch|Profiler|Autoscale|ClosedLoop'
+        -R 'BoundedQueue|ThreadPool|Pipeline\.|Determinism|NodeSet|Trainer|Serve|StageShutdown|ComputeKernels|Gather|FrequencyHashmap|FeaturePanel|MultiGpu|Partition|PeerTopology|OocStore|StorageLink|Prefetch|Profiler|Autoscale|ClosedLoop'
 fi
 
 # Gate one archived bench JSON. Every bench archive must parse as JSON
