@@ -103,9 +103,11 @@ LoadGenerator::LoadGenerator(std::span<const graph::NodeId> population,
                  "LoadGenerator needs a non-empty population");
     FASTGL_CHECK(opts_.rate_rps > 0.0,
                  "LoadGenerator rate must be positive");
-    opts_.targets_per_request = std::clamp<int>(
-        opts_.targets_per_request, 1,
-        static_cast<int>(population_.size()));
+    FASTGL_CHECK(opts_.targets_per_request >= 1 &&
+                     static_cast<size_t>(opts_.targets_per_request) <=
+                         population_.size(),
+                 "LoadGenerator targets_per_request must be in "
+                 "[1, population size]");
     opts_.hot_fraction = std::clamp(opts_.hot_fraction, 0.0, 1.0);
     opts_.hot_traffic = std::clamp(opts_.hot_traffic, 0.0, 1.0);
     for (double &scale : opts_.class_slo_scale)

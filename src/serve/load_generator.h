@@ -71,7 +71,7 @@ struct LoadGeneratorOptions
     double flash_multiplier = 6.0;
     /** Trace length in requests. */
     int64_t num_requests = 1024;
-    /** Distinct target nodes per request (clamped to population size). */
+    /** Distinct target nodes per request, in [1, population size]. */
     int targets_per_request = 1;
     /** Per-request latency budget; deadline = arrival + this. */
     double slo_deadline = 50e-3;

@@ -511,7 +511,8 @@ run_train(const Args &args)
     // Reject arguments the trainer would otherwise coerce or die on,
     // before the replica load. 0 keeps its documented meaning for
     // --batch, --max-batches and --compute-threads (every hardware
-    // thread; results are bit-identical at any width).
+    // thread; results are bit-identical at any width). The learning
+    // rate must be positive.
     core::TrainerOptions opts;
     const int64_t scale_pct = args.get_int_at_least("scale-pct", 50, 1);
     opts.batch_size = args.get_int_at_least("batch", 0, 0);
@@ -528,7 +529,7 @@ run_train(const Args &args)
         parse_dataset(args.get("dataset", "products"));
     opts.model.type = parse_model(args.get("model", "gcn"));
     opts.learning_rate =
-        float(args.get_int("lr-milli", 3)) / 1000.0f;
+        float(args.get_int_at_least("lr-milli", 3, 1)) / 1000.0f;
     opts.seed = uint64_t(args.get_int("seed", 3407));
     opts.partitioner = parse_partitioner(args.get("partitioner", "ldg"));
     opts.storage = parse_storage_opts(args, dataset);
@@ -732,6 +733,13 @@ run_serve(const Args &args)
     ropts.materialize_features = false;
     ropts.size_factor = double(scale_pct) / 100.0;
     const graph::Dataset ds = graph::load_replica(dataset, ropts);
+    // Requests draw distinct targets from every node of the replica.
+    if (lopts.targets_per_request > ds.graph.num_nodes())
+        util::fatal("--targets " +
+                    std::to_string(lopts.targets_per_request) +
+                    " exceeds the " +
+                    std::to_string(ds.graph.num_nodes()) + " nodes of the " +
+                    ds.name + " replica");
     serve::Server server(ds, sopts);
     serve::LoadGenerator gen(server.popularity(), lopts);
 
