@@ -338,7 +338,7 @@ Pipeline::window_pool()
 }
 
 void
-Pipeline::submit_window(int64_t epoch, std::span<const int64_t> batches,
+Pipeline::submit_window(std::span<const int64_t> batches,
                         SampledWindow &window, util::TaskGroup &group)
 {
     window = SampledWindow(batches.size());
@@ -348,7 +348,8 @@ Pipeline::submit_window(int64_t epoch, std::span<const int64_t> batches,
     for (size_t s = 0; s < shards; ++s) {
         ThreadSampler &sampler =
             s == 0 ? sampler_ : *shard_samplers_[s - 1];
-        group.run([this, epoch, batches, &window, &sampler, s, shards] {
+        group.run([this, epoch = epoch_, batches, &window, &sampler, s,
+                   shards] {
             for (size_t i = s; i < batches.size(); i += shards)
                 sampler.fill(*this, epoch, batches[i], window, i);
         });
@@ -402,7 +403,7 @@ Pipeline::run_epoch()
     SampledWindow ahead;
     util::TaskGroup sampling(pool);
     if (!windows.empty())
-        submit_window(epoch_, windows[0].batches, ahead, sampling);
+        submit_window(windows[0].batches, ahead, sampling);
     match::Matcher matcher;
     for (size_t w = 0; w < windows.size(); ++w) {
         sampling.wait();
@@ -414,7 +415,7 @@ Pipeline::run_epoch()
         // Submitted only now: the pool runs tasks first in, first out,
         // so Reorder's pairwise counts would queue behind them.
         if (w + 1 < windows.size())
-            submit_window(epoch_, windows[w + 1].batches, ahead, sampling);
+            submit_window(windows[w + 1].batches, ahead, sampling);
         for (size_t i : order) {
             records[windows[w].gpu].push_back(
                 process_batch(sampled.subgraphs[i], sampled.sets[i],

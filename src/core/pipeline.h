@@ -18,9 +18,9 @@
  *  - every batch samples from its own derived RNG stream
  *    (util::derive_seed of the seed, the epoch and the batch index), so
  *    which thread samples it, and when, cannot change it;
- *  - Reorder and Match, the only stateful steps (the resident batch
- *    and the cache's counters), run on the calling thread, window by
- *    window in the order of the sequential definition.
+ *  - Reorder and Match, the only steps with state (each GPU's
+ *    resident batch), run on the calling thread, window by window in
+ *    the order of the sequential definition.
  */
 #pragma once
 
@@ -221,14 +221,14 @@ class Pipeline
     bool runs_match() const;
 
     /**
-     * Start sampling @p batches of epoch @p epoch, with their Match
+     * Start sampling @p batches of the current epoch, with their Match
      * sets, into @p window on the window pool, as tasks of @p group:
      * shard s of S fills slots s, s + S, ... with its own
      * ThreadSampler. @p window is ready once @p group has been waited
      * for. Call only while @p group holds no task, since the shards'
      * samplers are reused.
      */
-    void submit_window(int64_t epoch, std::span<const int64_t> batches,
+    void submit_window(std::span<const int64_t> batches,
                        SampledWindow &window, util::TaskGroup &group);
 
     /**
@@ -243,7 +243,7 @@ class Pipeline
     /**
      * Modelled sample, id-map, io and compute accounting for one batch.
      * @p set is @p sg's Match set (unused unless the preset runs
-     * Match). Mutates only @p matcher and the cache's statistics.
+     * Match). Mutates only @p matcher.
      */
     BatchRecord process_batch(const sample::SampledSubgraph &sg,
                               const match::NodeSet &set,
