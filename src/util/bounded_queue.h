@@ -5,8 +5,8 @@
  * loop).
  *
  * Producers block while the queue is full (backpressure: a slow consumer
- * throttles sampling instead of letting presampled subgraphs pile up
- * beyond the Reorder-window budget), consumers block while it is empty.
+ * throttles sampling instead of letting sampled batches or requests
+ * pile up), consumers block while it is empty.
  * `close()` gives close-and-drain semantics: pushes are refused but
  * consumers keep popping until the queue runs dry, then receive nullopt.
  * `fail()` propagates an exception: pending items are dropped and every

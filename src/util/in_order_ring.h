@@ -6,9 +6,9 @@
  * Producer threads finish items out of order, but the stage after them
  * is stateful and must consume items strictly by sequence number —
  * serve::Server replays requests through its virtual-clock event
- * machine. The sequencer parks each delivered item
- * at slot `seq % capacity` until every earlier sequence number has
- * arrived, then releases the run of consecutive items:
+ * machine. The sequencer parks each delivered item at slot
+ * `seq % capacity` until every earlier sequence number has arrived,
+ * then releases the run of consecutive items:
  *
  *   ring.put(item.seq, std::move(item));
  *   while (ring.ready())
