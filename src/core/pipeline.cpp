@@ -313,12 +313,12 @@ Pipeline::plan_epoch()
     // machine (Section 7.1 extension: machines add data parallelism),
     // each GPU's batches cut into Reorder windows.
     const int64_t total = total_trainers();
-    const int64_t span = std::max(1, opts_.reorder_window) * total;
+    const int64_t stride = std::max(1, opts_.reorder_window) * total;
     for (int64_t g = 0; g < total; ++g) {
-        for (int64_t first = g; first < plan.num_batches; first += span) {
+        for (int64_t first = g; first < plan.num_batches; first += stride) {
             PlannedWindow &window = plan.windows.emplace_back();
             window.gpu = static_cast<size_t>(g);
-            const int64_t end = std::min(plan.num_batches, first + span);
+            const int64_t end = std::min(plan.num_batches, first + stride);
             for (int64_t b = first; b < end; b += total)
                 window.batches.push_back(b);
         }
@@ -395,8 +395,8 @@ Pipeline::run_epoch()
         static_cast<size_t>(total_trainers()));
 
     // The Map-Fused Sampler produces a window's n mini-batches before
-    // Reorder runs (paper Fig. 5), and samples window i + 1 while
-    // window i is reordered and matched here. `ahead` is declared
+    // Reorder runs (paper Fig. 5), and samples window w + 1 while
+    // window w is reordered and matched here. `ahead` is declared
     // before `sampling`, whose destructor waits for the shards filling
     // it on every exit.
     util::ThreadPool &pool = window_pool();
