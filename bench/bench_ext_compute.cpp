@@ -148,15 +148,48 @@ legacy_aggregate_backward(const sample::LayerBlock &block,
 
 // ------------------------------------------------------------------
 
+/**
+ * FNV digests of the engine's output in one mode, pinned from the
+ * pre-engine loops' output on the same inputs.
+ */
+struct Goldens
+{
+    uint64_t gemm;
+    uint64_t gemm_ta;
+    uint64_t gemm_tb;
+    uint64_t aggregate_forward;
+    uint64_t aggregate_backward;
+};
+
+constexpr Goldens kFullGoldens = {
+    0x98F16B9A88418054ULL, 0xCA1583180342CB1FULL, 0xDE2BC524FCB8612AULL,
+    0x61844671D94D2691ULL, 0x9093C9EFC91E86C1ULL};
+constexpr Goldens kSmokeGoldens = {
+    0x3FA29AD1E639173FULL, 0x62C036F921576405ULL, 0x68F3B60AA2E1D4C7ULL,
+    0x1C67DF27FF5E4EB7ULL, 0x7A17787AD2438EF7ULL};
+
 bool g_diverged = false;
 
 /** Record a witness pair; divergence poisons the whole run. */
 bool
-check_witness(uint64_t legacy, uint64_t engine)
+check_replica(uint64_t legacy, uint64_t engine)
 {
     if (legacy != engine)
         g_diverged = true;
     return legacy == engine;
+}
+
+/** Check one live digest against its golden; divergence is fatal. */
+bool
+check_witness(const char *name, uint64_t live, uint64_t golden)
+{
+    if (live == golden)
+        return true;
+    std::fprintf(stderr, "FATAL: %s digest 0x%016llX, pinned 0x%016llX\n",
+                 name, static_cast<unsigned long long>(live),
+                 static_cast<unsigned long long>(golden));
+    g_diverged = true;
+    return false;
 }
 
 struct GemmRow
@@ -185,6 +218,7 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
     }
+    const Goldens &golden = smoke ? kSmokeGoldens : kFullGoldens;
 
     // ---- GEMM: 256-dim shapes of the GNN update phase -------------
     const int64_t m = smoke ? 256 : 512, k = 256, n = 256;
@@ -231,11 +265,14 @@ main(int argc, char **argv)
             gemm_rows[2].engine_s += seconds_since(t0);
         }
         gemm_rows[0].identical =
-            check_witness(tensor_hash(lc), tensor_hash(ec));
+            check_witness("gemm", tensor_hash(ec), golden.gemm) &&
+            check_replica(tensor_hash(lc), tensor_hash(ec));
         gemm_rows[1].identical =
-            check_witness(tensor_hash(lta), tensor_hash(eta));
+            check_witness("gemm_ta", tensor_hash(eta), golden.gemm_ta) &&
+            check_replica(tensor_hash(lta), tensor_hash(eta));
         gemm_rows[2].identical =
-            check_witness(tensor_hash(ltb), tensor_hash(etb));
+            check_witness("gemm_tb", tensor_hash(etb), golden.gemm_tb) &&
+            check_replica(tensor_hash(ltb), tensor_hash(etb));
         gemm_rows[0].flops = 2.0 * double(m) * double(n) * double(k);
         gemm_rows[1].flops = 2.0 * double(k) * double(n) * double(m);
         gemm_rows[2].flops = 2.0 * double(m) * double(n) * double(k);
@@ -256,7 +293,9 @@ main(int argc, char **argv)
             for (int r = 0; r < reps; ++r)
                 engine.gemm(a, b, c);
             row.seconds = seconds_since(t0);
-            row.identical = check_witness(want, tensor_hash(c));
+            row.identical =
+                check_witness("gemm", tensor_hash(c), golden.gemm) &&
+                check_replica(want, tensor_hash(c));
             gemm_threads.push_back(row);
         }
     }
@@ -320,7 +359,9 @@ main(int argc, char **argv)
             engine.aggregate_forward(blk, weights, feats, out);
         fwd.seconds = seconds_since(t0);
         fwd.identical =
-            check_witness(legacy_fwd_hash, tensor_hash(out));
+            check_witness("aggregate_forward", tensor_hash(out),
+                          golden.aggregate_forward) &&
+            check_replica(legacy_fwd_hash, tensor_hash(out));
         agg_fwd_threads.push_back(fwd);
 
         ThreadRow bwd{threads, 0.0, false};
@@ -331,7 +372,9 @@ main(int argc, char **argv)
         }
         bwd.seconds = seconds_since(t0);
         bwd.identical =
-            check_witness(legacy_bwd_hash, tensor_hash(gin));
+            check_witness("aggregate_backward", tensor_hash(gin),
+                          golden.aggregate_backward) &&
+            check_replica(legacy_bwd_hash, tensor_hash(gin));
         agg_bwd_threads.push_back(bwd);
 
         if (threads == 4) {

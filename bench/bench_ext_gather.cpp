@@ -88,11 +88,24 @@ bool g_diverged = false;
 
 /** Record a witness pair; divergence poisons the whole run. */
 bool
-check_witness(uint64_t legacy, uint64_t engine)
+check_replica(uint64_t legacy, uint64_t engine)
 {
     if (legacy != engine)
         g_diverged = true;
     return legacy == engine;
+}
+
+/** Check one live digest against its golden; divergence is fatal. */
+bool
+check_witness(const char *name, uint64_t live, uint64_t golden)
+{
+    if (live == golden)
+        return true;
+    std::fprintf(stderr, "FATAL: %s digest 0x%016llX, pinned 0x%016llX\n",
+                 name, static_cast<unsigned long long>(live),
+                 static_cast<unsigned long long>(golden));
+    g_diverged = true;
+    return false;
 }
 
 struct ThreadRow
@@ -109,6 +122,9 @@ struct GatherCase
     int dim;
     int64_t batch;
     int reps;
+    /** FNV digest of the gathered panel, pinned from the pre-engine
+     *  staging path's output on the same batch. */
+    uint64_t golden;
     double legacy_s = 0.0;
     double best_engine_s = 0.0;
     std::vector<ThreadRow> rows{};
@@ -152,9 +168,10 @@ run_gather_case(GatherCase &cfg)
             panel = engine.gather(store, nodes);
         }
         row.seconds = seconds_since(t0);
-        row.identical = check_witness(
-            want, fnv_bytes(panel.data(),
-                            static_cast<size_t>(panel.bytes())));
+        const uint64_t live =
+            fnv_bytes(panel.data(), static_cast<size_t>(panel.bytes()));
+        row.identical = check_witness(cfg.name, live, cfg.golden) &&
+                        check_replica(want, live);
         cfg.rows.push_back(row);
     }
     cfg.best_engine_s = cfg.rows[0].seconds;
@@ -176,11 +193,15 @@ main(int argc, char **argv)
     // ---- Batched gather: two geometries (see file comment) --------
     std::vector<GatherCase> cases;
     if (smoke) {
-        cases.push_back({"pcie_batch", 20000, 256, 2048, 4});
-        cases.push_back({"wide_features", 8000, 1024, 1024, 3});
+        cases.push_back({"pcie_batch", 20000, 256, 2048, 4,
+                         0x67486372A232E43BULL});
+        cases.push_back({"wide_features", 8000, 1024, 1024, 3,
+                         0xFC6B82FF6B7F3BFCULL});
     } else {
-        cases.push_back({"pcie_batch", 100000, 256, 8192, 20});
-        cases.push_back({"wide_features", 60000, 1024, 8192, 12});
+        cases.push_back({"pcie_batch", 100000, 256, 8192, 20,
+                         0xD883E55FE161C273ULL});
+        cases.push_back({"wide_features", 60000, 1024, 8192, 12,
+                         0x894D97EB680DADF5ULL});
     }
     for (GatherCase &cfg : cases)
         run_gather_case(cfg);
@@ -215,6 +236,9 @@ main(int argc, char **argv)
     }
 
     const int pre_reps = smoke ? 2 : 3;
+    // FNV digest of the ranking, pinned from the dense two-pass's output.
+    const uint64_t presample_golden =
+        smoke ? 0x94CB36B94D1844F5ULL : 0x2219A21BDC1BDC8DULL;
     double legacy_pre_s = 0.0;
     std::vector<NodeId> legacy_ranking;
     {
@@ -237,11 +261,13 @@ main(int argc, char **argv)
         }
         fused_pre_s = seconds_since(t0);
     }
-    const bool presample_identical = check_witness(
-        fnv_bytes(legacy_ranking.data(),
-                  legacy_ranking.size() * sizeof(NodeId)),
-        fnv_bytes(fused_ranking.data(),
-                  fused_ranking.size() * sizeof(NodeId)));
+    const uint64_t fused_hash = fnv_bytes(
+        fused_ranking.data(), fused_ranking.size() * sizeof(NodeId));
+    const bool presample_identical =
+        check_witness("presample", fused_hash, presample_golden) &&
+        check_replica(fnv_bytes(legacy_ranking.data(),
+                                legacy_ranking.size() * sizeof(NodeId)),
+                      fused_hash);
 
     // ---- JSON report ----------------------------------------------
     std::printf("{\n");

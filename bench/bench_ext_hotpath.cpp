@@ -63,6 +63,49 @@ hash_subgraph(const sample::SampledSubgraph &sg)
     return h;
 }
 
+uint64_t
+hash_matrix(const std::vector<std::vector<double>> &m)
+{
+    uint64_t h = util::kFnvOffset;
+    for (const auto &row : m)
+        for (double d : row)
+            h = fnv(h, util::double_bits(d));
+    return h;
+}
+
+/**
+ * FNV digests of the live output in one mode, pinned from the
+ * pre-overhaul implementations' output on the same inputs.
+ */
+struct Goldens
+{
+    uint64_t matrix;
+    uint64_t neighbor_sampler;
+    uint64_t random_walk_sampler;
+};
+
+constexpr Goldens kFullGoldens = {0x3A50955FC1C57451ULL,
+                                  0x93F897C786070D51ULL,
+                                  0xC7E469DB94592B60ULL};
+constexpr Goldens kSmokeGoldens = {0x0499086F25991EE9ULL,
+                                   0x5C9F07C49E299FDBULL,
+                                   0x5732AFF6A84713D6ULL};
+
+bool g_diverged = false;
+
+/** Check one live digest against its golden; divergence is fatal. */
+bool
+check_witness(const char *name, uint64_t live, uint64_t golden)
+{
+    if (live == golden)
+        return true;
+    std::fprintf(stderr, "FATAL: %s digest 0x%016llX, pinned 0x%016llX\n",
+                 name, static_cast<unsigned long long>(live),
+                 static_cast<unsigned long long>(golden));
+    g_diverged = true;
+    return false;
+}
+
 // ------------------------------------------------------------------
 // Legacy replicas (the pre-overhaul hot paths, verbatim algorithms).
 // ------------------------------------------------------------------
@@ -531,6 +574,7 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--smoke") == 0)
             smoke = true;
     }
+    const Goldens &golden = smoke ? kSmokeGoldens : kFullGoldens;
 
     // ---- adaptive intersection kernels ----------------------------
     std::vector<IntersectionRow> inter_rows;
@@ -563,7 +607,10 @@ main(int argc, char **argv)
     for (int r = 0; r < matrix_reps; ++r)
         seq_m = match::match_degree_matrix(sets);
     const double seq_matrix_s = seconds_since(t0) / matrix_reps;
-    const bool matrix_identical = legacy_m == seq_m;
+    const bool matrix_identical =
+        check_witness("match_degree_matrix", hash_matrix(seq_m),
+                      golden.matrix) &&
+        legacy_m == seq_m;
 
     struct ThreadRow
     {
@@ -580,7 +627,10 @@ main(int argc, char **argv)
             par_m = match::match_degree_matrix(sets, pool);
         thread_rows.push_back({threads,
                                seconds_since(t0) / matrix_reps,
-                               par_m == legacy_m});
+                               check_witness("match_degree_matrix",
+                                             hash_matrix(par_m),
+                                             golden.matrix) &&
+                                   par_m == legacy_m});
     }
 
     // ---- neighbour sampler ----------------------------------------
@@ -647,6 +697,15 @@ main(int argc, char **argv)
         hotpath_walk_s += seconds_since(t0);
     }
 
+    const bool khop_identical =
+        check_witness("neighbor_sampler", hotpath_hash,
+                      golden.neighbor_sampler) &&
+        legacy_hash == hotpath_hash;
+    const bool walk_identical =
+        check_witness("random_walk_sampler", hotpath_walk_hash,
+                      golden.random_walk_sampler) &&
+        legacy_walk_hash == hotpath_walk_hash;
+
     // ---- JSON report ----------------------------------------------
     std::printf("{\n");
     std::printf("  \"bench\": \"hotpath\",\n");
@@ -696,7 +755,7 @@ main(int argc, char **argv)
     std::printf("    \"speedup\": %.3f,\n",
                 legacy_khop_s / hotpath_khop_s);
     std::printf("    \"identical\": %s\n  },\n",
-                legacy_hash == hotpath_hash ? "true" : "false");
+                khop_identical ? "true" : "false");
 
     std::printf("  \"random_walk_sampler\": {\n");
     std::printf("    \"batches\": %d,\n", batches);
@@ -707,12 +766,11 @@ main(int argc, char **argv)
     std::printf("    \"speedup\": %.3f,\n",
                 legacy_walk_s / hotpath_walk_s);
     std::printf("    \"identical\": %s\n  }\n",
-                legacy_walk_hash == hotpath_walk_hash ? "true"
-                                                      : "false");
+                walk_identical ? "true" : "false");
     std::printf("}\n");
 
     // Replica divergence means the comparison was not apples-to-apples.
-    if (legacy_hash != hotpath_hash ||
+    if (g_diverged || legacy_hash != hotpath_hash ||
         legacy_walk_hash != hotpath_walk_hash || !matrix_identical) {
         std::fprintf(stderr,
                      "FATAL: legacy replica output diverged from the "

@@ -21,6 +21,7 @@
 #include "serve/load_generator.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
+#include "util/fnv.h"
 
 namespace fastgl {
 namespace {
@@ -166,6 +167,32 @@ TEST(LoadGenerator, TargetsPerRequestAreDistinct)
                                      req.targets.end());
         EXPECT_EQ(uniq.size(), req.targets.size());
     }
+}
+
+TEST(LoadGenerator, DiurnalTraceIsPinned)
+{
+    // Two diurnal periods of arrivals: the digest folds each arrival's
+    // bit pattern and its targets, so it moves if the rate curve or the
+    // hot/cold skew changes by one ulp.
+    std::vector<graph::NodeId> population(1000);
+    for (size_t i = 0; i < population.size(); ++i)
+        population[i] = static_cast<graph::NodeId>(i);
+
+    serve::LoadGeneratorOptions opts;
+    opts.trace = serve::ArrivalTrace::kDiurnal;
+    opts.rate_rps = 10000.0;
+    opts.num_requests = 4096;
+    opts.targets_per_request = 2;
+    opts.seed = 5;
+    serve::LoadGenerator gen(population, opts);
+
+    uint64_t h = util::kFnvOffset;
+    for (const auto &req : gen.generate()) {
+        h = util::fnv(h, util::double_bits(req.arrival));
+        for (graph::NodeId t : req.targets)
+            h = util::fnv(h, static_cast<uint64_t>(t));
+    }
+    EXPECT_EQ(h, 0xCC7604DDE0477968ULL);
 }
 
 // ---------------------------------------------------------------------
