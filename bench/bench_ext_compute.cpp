@@ -1,11 +1,10 @@
 /**
  * @file
- * Compute-kernel engine validation: before/after throughput of the
- * blocked GEMM variants and the parallel reverse-CSR aggregation.
- * "Before" is replicated in-bench from the pre-engine naive loops, and
- * every replica's output is FNV-hashed and compared to the engine's —
- * divergence is fatal (exit 1), because then the speedups would not
- * compare equal work. Also reports the engine's measured GFLOP/s and
+ * Compute-kernel engine throughput: the blocked GEMM variants and the
+ * parallel reverse-CSR aggregation at engine widths 1/2/4/8. Every
+ * output is FNV-hashed and checked against a golden pinned from the
+ * pre-engine naive loops' output on the same inputs; divergence is
+ * fatal (exit 1). Also reports the engine's measured GFLOP/s and
  * bytes/edge next to the ComputeCostModel's modelled seconds for the
  * same aggregation, the drift check behind the PhaseStats fields.
  *
@@ -48,106 +47,6 @@ tensor_hash(const Tensor &x)
                            static_cast<size_t>(x.numel()) * sizeof(float));
 }
 
-// ------------------------------------------------------------------
-// Legacy replicas (the pre-engine kernels, verbatim loops).
-// ------------------------------------------------------------------
-
-void
-legacy_gemm(const Tensor &a, const Tensor &b, Tensor &c)
-{
-    const int64_t m = a.rows(), k = a.cols(), n = b.cols();
-    c.fill_zero();
-    for (int64_t i = 0; i < m; ++i) {
-        float *ci = c.data() + i * n;
-        const float *ai = a.data() + i * k;
-        for (int64_t p = 0; p < k; ++p) {
-            const float av = ai[p];
-            if (av == 0.0f)
-                continue;
-            const float *bp = b.data() + p * n;
-            for (int64_t j = 0; j < n; ++j)
-                ci[j] += av * bp[j];
-        }
-    }
-}
-
-void
-legacy_gemm_ta(const Tensor &a, const Tensor &b, Tensor &c)
-{
-    const int64_t k = a.rows(), m = a.cols(), n = b.cols();
-    c.fill_zero();
-    for (int64_t p = 0; p < k; ++p) {
-        const float *ap = a.data() + p * m;
-        const float *bp = b.data() + p * n;
-        for (int64_t i = 0; i < m; ++i) {
-            const float av = ap[i];
-            if (av == 0.0f)
-                continue;
-            float *ci = c.data() + i * n;
-            for (int64_t j = 0; j < n; ++j)
-                ci[j] += av * bp[j];
-        }
-    }
-}
-
-void
-legacy_gemm_tb(const Tensor &a, const Tensor &b, Tensor &c)
-{
-    const int64_t m = a.rows(), k = a.cols(), n = b.rows();
-    for (int64_t i = 0; i < m; ++i) {
-        const float *ai = a.data() + i * k;
-        float *ci = c.data() + i * n;
-        for (int64_t j = 0; j < n; ++j) {
-            const float *bj = b.data() + j * k;
-            float acc = 0.0f;
-            for (int64_t p = 0; p < k; ++p)
-                acc += ai[p] * bj[p];
-            ci[j] = acc;
-        }
-    }
-}
-
-void
-legacy_aggregate_forward(const sample::LayerBlock &block,
-                         const std::vector<float> &weights,
-                         const Tensor &in, Tensor &out)
-{
-    const int64_t dim = in.cols();
-    out.fill_zero();
-    for (int64_t t = 0; t < block.num_targets(); ++t) {
-        float *dst = out.data() + t * dim;
-        for (graph::EdgeId e = block.indptr[t];
-             e < block.indptr[t + 1]; ++e) {
-            const graph::NodeId v = block.sources[e];
-            const float w = weights[static_cast<size_t>(e)];
-            const float *src = in.data() + v * dim;
-            for (int64_t c = 0; c < dim; ++c)
-                dst[c] += w * src[c];
-        }
-    }
-}
-
-void
-legacy_aggregate_backward(const sample::LayerBlock &block,
-                          const std::vector<float> &weights,
-                          const Tensor &grad_out, Tensor &grad_in)
-{
-    const int64_t dim = grad_out.cols();
-    for (int64_t t = 0; t < block.num_targets(); ++t) {
-        const float *gout = grad_out.data() + t * dim;
-        for (graph::EdgeId e = block.indptr[t];
-             e < block.indptr[t + 1]; ++e) {
-            const graph::NodeId v = block.sources[e];
-            const float w = weights[static_cast<size_t>(e)];
-            float *gin = grad_in.data() + v * dim;
-            for (int64_t c = 0; c < dim; ++c)
-                gin[c] += w * gout[c];
-        }
-    }
-}
-
-// ------------------------------------------------------------------
-
 /**
  * FNV digests of the engine's output in one mode, pinned from the
  * pre-engine loops' output on the same inputs.
@@ -170,15 +69,6 @@ constexpr Goldens kSmokeGoldens = {
 
 bool g_diverged = false;
 
-/** Record a witness pair; divergence poisons the whole run. */
-bool
-check_replica(uint64_t legacy, uint64_t engine)
-{
-    if (legacy != engine)
-        g_diverged = true;
-    return legacy == engine;
-}
-
 /** Check one live digest against its golden; divergence is fatal. */
 bool
 check_witness(const char *name, uint64_t live, uint64_t golden)
@@ -195,7 +85,6 @@ check_witness(const char *name, uint64_t live, uint64_t golden)
 struct GemmRow
 {
     const char *name;
-    double legacy_s = 0.0;
     double engine_s = 0.0;
     double flops = 0.0;
     bool identical = false;
@@ -225,54 +114,38 @@ main(int argc, char **argv)
     util::Rng rng(42);
     Tensor a = Tensor::randn(m, k, rng, 1.0f);
     for (int64_t i = 0; i < a.numel(); i += 7)
-        a.data()[i] = 0.0f; // exercise the legacy zero-skip
+        a.data()[i] = 0.0f; // gemm and gemm_ta skip av == 0 terms
     const Tensor b = Tensor::randn(k, n, rng, 1.0f);
     const Tensor bt = Tensor::randn(n, k, rng, 1.0f);
 
     KernelEngine single(1);
     const int reps = smoke ? 3 : 10;
-    std::vector<GemmRow> gemm_rows = {{"gemm", 0, 0, 0, false},
-                                      {"gemm_ta", 0, 0, 0, false},
-                                      {"gemm_tb", 0, 0, 0, false}};
-    // Interleaved rounds: machine drift hits both sides equally.
+    std::vector<GemmRow> gemm_rows = {{"gemm", 0, 0, false},
+                                      {"gemm_ta", 0, 0, false},
+                                      {"gemm_tb", 0, 0, false}};
     {
-        Tensor lc(m, n), ec(m, n);
-        Tensor lta(k, n), eta(k, n); // A^T[k,m] * B2[m,n]
+        Tensor c(m, n);
+        Tensor cta(k, n); // A^T[k,m] * B2[m,n]
         const Tensor b2 = Tensor::randn(m, n, rng, 1.0f);
-        Tensor ltb(m, n), etb(m, n);
-        legacy_gemm(a, b, lc); // warm-up, untimed
-        single.gemm(a, b, ec);
+        Tensor ctb(m, n);
+        single.gemm(a, b, c); // warm-up, untimed
         for (int r = 0; r < reps; ++r) {
             Clock::time_point t0 = Clock::now();
-            legacy_gemm(a, b, lc);
-            gemm_rows[0].legacy_s += seconds_since(t0);
-            t0 = Clock::now();
-            single.gemm(a, b, ec);
+            single.gemm(a, b, c);
             gemm_rows[0].engine_s += seconds_since(t0);
-
             t0 = Clock::now();
-            legacy_gemm_ta(a, b2, lta);
-            gemm_rows[1].legacy_s += seconds_since(t0);
-            t0 = Clock::now();
-            single.gemm_ta(a, b2, eta);
+            single.gemm_ta(a, b2, cta);
             gemm_rows[1].engine_s += seconds_since(t0);
-
             t0 = Clock::now();
-            legacy_gemm_tb(a, bt, ltb);
-            gemm_rows[2].legacy_s += seconds_since(t0);
-            t0 = Clock::now();
-            single.gemm_tb(a, bt, etb);
+            single.gemm_tb(a, bt, ctb);
             gemm_rows[2].engine_s += seconds_since(t0);
         }
         gemm_rows[0].identical =
-            check_witness("gemm", tensor_hash(ec), golden.gemm) &&
-            check_replica(tensor_hash(lc), tensor_hash(ec));
+            check_witness("gemm", tensor_hash(c), golden.gemm);
         gemm_rows[1].identical =
-            check_witness("gemm_ta", tensor_hash(eta), golden.gemm_ta) &&
-            check_replica(tensor_hash(lta), tensor_hash(eta));
+            check_witness("gemm_ta", tensor_hash(cta), golden.gemm_ta);
         gemm_rows[2].identical =
-            check_witness("gemm_tb", tensor_hash(etb), golden.gemm_tb) &&
-            check_replica(tensor_hash(ltb), tensor_hash(etb));
+            check_witness("gemm_tb", tensor_hash(ctb), golden.gemm_tb);
         gemm_rows[0].flops = 2.0 * double(m) * double(n) * double(k);
         gemm_rows[1].flops = 2.0 * double(k) * double(n) * double(m);
         gemm_rows[2].flops = 2.0 * double(m) * double(n) * double(k);
@@ -280,24 +153,17 @@ main(int argc, char **argv)
 
     // GEMM thread scaling (same output at every width, by design).
     std::vector<ThreadRow> gemm_threads;
-    {
-        Tensor ref(m, n);
-        legacy_gemm(a, b, ref);
-        const uint64_t want = tensor_hash(ref);
-        for (int threads : {1, 2, 4, 8}) {
-            KernelEngine engine(threads);
-            Tensor c(m, n);
-            engine.gemm(a, b, c); // warm-up
-            ThreadRow row{threads, 0.0, false};
-            Clock::time_point t0 = Clock::now();
-            for (int r = 0; r < reps; ++r)
-                engine.gemm(a, b, c);
-            row.seconds = seconds_since(t0);
-            row.identical =
-                check_witness("gemm", tensor_hash(c), golden.gemm) &&
-                check_replica(want, tensor_hash(c));
-            gemm_threads.push_back(row);
-        }
+    for (int threads : {1, 2, 4, 8}) {
+        KernelEngine engine(threads);
+        Tensor c(m, n);
+        engine.gemm(a, b, c); // warm-up
+        ThreadRow row{threads, 0.0, false};
+        Clock::time_point t0 = Clock::now();
+        for (int r = 0; r < reps; ++r)
+            engine.gemm(a, b, c);
+        row.seconds = seconds_since(t0);
+        row.identical = check_witness("gemm", tensor_hash(c), golden.gemm);
+        gemm_threads.push_back(row);
     }
 
     // ---- Aggregation: 2048 targets x deg 15, 256-dim --------------
@@ -322,27 +188,6 @@ main(int argc, char **argv)
     const Tensor gout = Tensor::randn(targets, dim, rng, 1.0f);
 
     const int agg_reps = smoke ? 4 : 16;
-    double legacy_fwd_s = 0.0, legacy_bwd_s = 0.0;
-    uint64_t legacy_fwd_hash = 0, legacy_bwd_hash = 0;
-    {
-        Tensor out(targets, dim);
-        Tensor gin(sources, dim);
-        legacy_aggregate_forward(blk, weights, feats, out); // warm-up
-        Clock::time_point t0 = Clock::now();
-        for (int r = 0; r < agg_reps; ++r)
-            legacy_aggregate_forward(blk, weights, feats, out);
-        legacy_fwd_s = seconds_since(t0);
-        legacy_fwd_hash = tensor_hash(out);
-
-        t0 = Clock::now();
-        for (int r = 0; r < agg_reps; ++r) {
-            gin.fill_zero();
-            legacy_aggregate_backward(blk, weights, gout, gin);
-        }
-        legacy_bwd_s = seconds_since(t0);
-        legacy_bwd_hash = tensor_hash(gin);
-    }
-
     std::vector<ThreadRow> agg_fwd_threads, agg_bwd_threads;
     double measured_agg_bytes_per_edge = 0.0;
     double measured_agg_gflops = 0.0;
@@ -358,10 +203,8 @@ main(int argc, char **argv)
         for (int r = 0; r < agg_reps; ++r)
             engine.aggregate_forward(blk, weights, feats, out);
         fwd.seconds = seconds_since(t0);
-        fwd.identical =
-            check_witness("aggregate_forward", tensor_hash(out),
-                          golden.aggregate_forward) &&
-            check_replica(legacy_fwd_hash, tensor_hash(out));
+        fwd.identical = check_witness("aggregate_forward", tensor_hash(out),
+                                      golden.aggregate_forward);
         agg_fwd_threads.push_back(fwd);
 
         ThreadRow bwd{threads, 0.0, false};
@@ -371,10 +214,9 @@ main(int argc, char **argv)
             engine.aggregate_backward(blk, weights, gout, gin);
         }
         bwd.seconds = seconds_since(t0);
-        bwd.identical =
-            check_witness("aggregate_backward", tensor_hash(gin),
-                          golden.aggregate_backward) &&
-            check_replica(legacy_bwd_hash, tensor_hash(gin));
+        bwd.identical = check_witness("aggregate_backward",
+                                      tensor_hash(gin),
+                                      golden.aggregate_backward);
         agg_bwd_threads.push_back(bwd);
 
         if (threads == 4) {
@@ -406,11 +248,9 @@ main(int argc, char **argv)
     std::printf("    \"single_thread\": [\n");
     for (size_t i = 0; i < gemm_rows.size(); ++i) {
         const GemmRow &r = gemm_rows[i];
-        std::printf("      {\"kernel\": \"%s\", \"legacy_s\": %.6f, "
-                    "\"engine_s\": %.6f, \"speedup\": %.3f, "
+        std::printf("      {\"kernel\": \"%s\", \"engine_s\": %.6f, "
                     "\"engine_gflops\": %.2f, \"identical\": %s}%s\n",
-                    r.name, r.legacy_s, r.engine_s,
-                    r.engine_s > 0 ? r.legacy_s / r.engine_s : 0.0,
+                    r.name, r.engine_s,
                     r.engine_s > 0
                         ? r.flops * reps / r.engine_s / 1e9
                         : 0.0,
@@ -422,11 +262,8 @@ main(int argc, char **argv)
     for (size_t i = 0; i < gemm_threads.size(); ++i) {
         const ThreadRow &r = gemm_threads[i];
         std::printf("      {\"threads\": %d, \"seconds\": %.6f, "
-                    "\"speedup_vs_legacy\": %.3f, \"identical\": %s}%s\n",
-                    r.threads, r.seconds,
-                    r.seconds > 0 ? gemm_rows[0].legacy_s / r.seconds
-                                  : 0.0,
-                    r.identical ? "true" : "false",
+                    "\"identical\": %s}%s\n",
+                    r.threads, r.seconds, r.identical ? "true" : "false",
                     i + 1 < gemm_threads.size() ? "," : "");
     }
     std::printf("    ],\n");
@@ -439,16 +276,12 @@ main(int argc, char **argv)
                 static_cast<long long>(targets),
                 static_cast<long long>(deg),
                 static_cast<long long>(dim));
-    std::printf("    \"legacy_forward_s\": %.6f,\n", legacy_fwd_s);
-    std::printf("    \"legacy_backward_s\": %.6f,\n", legacy_bwd_s);
     std::printf("    \"forward\": [\n");
     for (size_t i = 0; i < agg_fwd_threads.size(); ++i) {
         const ThreadRow &r = agg_fwd_threads[i];
         std::printf("      {\"threads\": %d, \"seconds\": %.6f, "
-                    "\"speedup_vs_legacy\": %.3f, \"identical\": %s}%s\n",
-                    r.threads, r.seconds,
-                    r.seconds > 0 ? legacy_fwd_s / r.seconds : 0.0,
-                    r.identical ? "true" : "false",
+                    "\"identical\": %s}%s\n",
+                    r.threads, r.seconds, r.identical ? "true" : "false",
                     i + 1 < agg_fwd_threads.size() ? "," : "");
     }
     std::printf("    ],\n");
@@ -456,10 +289,8 @@ main(int argc, char **argv)
     for (size_t i = 0; i < agg_bwd_threads.size(); ++i) {
         const ThreadRow &r = agg_bwd_threads[i];
         std::printf("      {\"threads\": %d, \"seconds\": %.6f, "
-                    "\"speedup_vs_legacy\": %.3f, \"identical\": %s}%s\n",
-                    r.threads, r.seconds,
-                    r.seconds > 0 ? legacy_bwd_s / r.seconds : 0.0,
-                    r.identical ? "true" : "false",
+                    "\"identical\": %s}%s\n",
+                    r.threads, r.seconds, r.identical ? "true" : "false",
                     i + 1 < agg_bwd_threads.size() ? "," : "");
     }
     std::printf("    ],\n");
@@ -473,12 +304,5 @@ main(int argc, char **argv)
                 modelled.gflops());
     std::printf("}\n");
 
-    // Replica divergence means the comparison was not apples-to-apples.
-    if (g_diverged) {
-        std::fprintf(stderr,
-                     "FATAL: legacy replica output diverged from the "
-                     "engine\n");
-        return 1;
-    }
-    return 0;
+    return g_diverged ? 1 : 0;
 }

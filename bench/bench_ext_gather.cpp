@@ -1,22 +1,19 @@
 /**
  * @file
- * Feature-gather fast-path validation: before/after throughput of
- * match::GatherEngine's batched SIMD gather against the legacy
- * feature-staging path (a fresh zero-filled compute::Tensor plus a
- * per-row bounds-checked FeatureStore::gather_row loop — verbatim the
- * pre-engine Trainer::gather_features / serve sequencer code), and of
- * the one-pass FrequencyHashmap presample against the legacy dense
- * count-then-sort two-pass. Every legacy side is replicated in-bench
- * and FNV-witnessed against the fast path — divergence is fatal
- * (exit 1), because then the speedups would not compare equal work.
+ * Feature-gather fast path: match::GatherEngine's batched SIMD gather
+ * into pooled arena panels at widths 1/2/4/8, and the one-pass
+ * FrequencyHashmap presample ranking. Every output is FNV-hashed and
+ * checked against a golden pinned from the pre-engine paths' output on
+ * the same inputs (a fresh zero-filled Tensor filled by one
+ * bounds-checked gather_row per node; dense per-node counts, then a
+ * full sort); divergence is fatal (exit 1).
  *
  * Two gather geometries are measured: a mid-size PCIe batch
  * (8192 x 256) where the copy itself dominates, and a wide-feature
- * batch (8192 x 1024, a 32 MB panel) where the legacy path's per-batch
- * allocation churn dominates — panels that size are mmap'd and
- * munmap'd by the allocator on every single batch, so the legacy loop
- * re-page-faults and re-zeroes the staging buffer each time, while the
- * engine's pooled arena is allocated once and stays hot.
+ * batch (8192 x 1024, a 32 MB panel) above the allocator's mmap
+ * threshold, where a staging buffer allocated per batch would be
+ * re-faulted and re-zeroed every time; the engine's pooled arena is
+ * allocated once and stays hot.
  *
  * Output is a single JSON object on stdout so CI can archive it
  * (tools/ci.sh writes BENCH_gather.json). Pass --smoke for a
@@ -29,7 +26,6 @@
 #include <cstring>
 #include <vector>
 
-#include "compute/tensor.h"
 #include "graph/feature_store.h"
 #include "match/feature_cache.h"
 #include "match/gather_engine.h"
@@ -52,48 +48,7 @@ seconds_since(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// ------------------------------------------------------------------
-// Legacy replicas (the pre-engine paths, verbatim).
-// ------------------------------------------------------------------
-
-/**
- * The historical feature staging: construct a fresh (zero-filled)
- * Tensor for the batch, then one bounds-checked gather_row per node —
- * exactly the pre-engine Trainer::gather_features body.
- */
-compute::Tensor
-legacy_gather_features(const FeatureStore &store,
-                       const std::vector<NodeId> &nodes)
-{
-    compute::Tensor x(static_cast<int64_t>(nodes.size()), store.dim());
-    for (size_t i = 0; i < nodes.size(); ++i)
-        store.gather_row(nodes[i],
-                         x.row(static_cast<int64_t>(i)).data());
-    return x;
-}
-
-/** The historical presample: dense per-node counts, then a full sort. */
-std::vector<NodeId>
-legacy_presample(const std::vector<NodeId> &stream, NodeId num_nodes)
-{
-    std::vector<int64_t> freq(static_cast<size_t>(num_nodes), 0);
-    for (NodeId u : stream)
-        ++freq[static_cast<size_t>(u)];
-    return match::presample_ranking(freq);
-}
-
-// ------------------------------------------------------------------
-
 bool g_diverged = false;
-
-/** Record a witness pair; divergence poisons the whole run. */
-bool
-check_replica(uint64_t legacy, uint64_t engine)
-{
-    if (legacy != engine)
-        g_diverged = true;
-    return legacy == engine;
-}
 
 /** Check one live digest against its golden; divergence is fatal. */
 bool
@@ -125,12 +80,10 @@ struct GatherCase
     /** FNV digest of the gathered panel, pinned from the pre-engine
      *  staging path's output on the same batch. */
     uint64_t golden;
-    double legacy_s = 0.0;
-    double best_engine_s = 0.0;
     std::vector<ThreadRow> rows{};
 };
 
-/** Run legacy staging + the engine thread sweep for one geometry. */
+/** Run the engine thread sweep for one geometry. */
 void
 run_gather_case(GatherCase &cfg)
 {
@@ -141,19 +94,6 @@ run_gather_case(GatherCase &cfg)
     for (int64_t i = 0; i < cfg.batch; ++i)
         nodes.push_back(static_cast<NodeId>(
             rng.next_below(static_cast<uint64_t>(cfg.num_nodes))));
-
-    legacy_gather_features(store, nodes); // warm-up
-    {
-        const Clock::time_point t0 = Clock::now();
-        for (int r = 0; r < cfg.reps; ++r)
-            legacy_gather_features(store, nodes);
-        cfg.legacy_s = seconds_since(t0);
-    }
-    const compute::Tensor witness = legacy_gather_features(store, nodes);
-    const uint64_t want =
-        fnv_bytes(witness.data(), static_cast<size_t>(witness.rows()) *
-                                      static_cast<size_t>(witness.cols()) *
-                                      sizeof(float));
 
     for (const int threads : {1, 2, 4, 8}) {
         GatherEngine engine(threads);
@@ -168,15 +108,12 @@ run_gather_case(GatherCase &cfg)
             panel = engine.gather(store, nodes);
         }
         row.seconds = seconds_since(t0);
-        const uint64_t live =
-            fnv_bytes(panel.data(), static_cast<size_t>(panel.bytes()));
-        row.identical = check_witness(cfg.name, live, cfg.golden) &&
-                        check_replica(want, live);
+        row.identical = check_witness(
+            cfg.name,
+            fnv_bytes(panel.data(), static_cast<size_t>(panel.bytes())),
+            cfg.golden);
         cfg.rows.push_back(row);
     }
-    cfg.best_engine_s = cfg.rows[0].seconds;
-    for (const ThreadRow &row : cfg.rows)
-        cfg.best_engine_s = std::min(cfg.best_engine_s, row.seconds);
 }
 
 } // namespace
@@ -206,20 +143,9 @@ main(int argc, char **argv)
     for (GatherCase &cfg : cases)
         run_gather_case(cfg);
 
-    double best_speedup = 0.0;
-    for (const GatherCase &cfg : cases) {
-        if (cfg.best_engine_s > 0)
-            best_speedup = std::max(best_speedup,
-                                    cfg.legacy_s / cfg.best_engine_s);
-    }
-
-    // ---- Presample: count-while-dedup vs dense two-pass -----------
+    // ---- Presample: one-pass count-while-dedup ranking ------------
     // Representative regime: a presample only touches the nodes a few
-    // warm-up batches expand to — a sparse subset of a large graph —
-    // while the legacy dense pass allocates, zeroes, counts and
-    // stable-sorts ALL num_nodes rows regardless. (When the stream
-    // covers most of the graph the dense pass wins instead; presample
-    // traces are never that dense.)
+    // warm-up batches expand to — a sparse subset of a large graph.
     const NodeId pre_nodes = smoke ? 500000 : 5000000;
     const int64_t stream_len = smoke ? 50000 : 400000;
     util::Rng rng(42);
@@ -239,14 +165,6 @@ main(int argc, char **argv)
     // FNV digest of the ranking, pinned from the dense two-pass's output.
     const uint64_t presample_golden =
         smoke ? 0x94CB36B94D1844F5ULL : 0x2219A21BDC1BDC8DULL;
-    double legacy_pre_s = 0.0;
-    std::vector<NodeId> legacy_ranking;
-    {
-        const Clock::time_point t0 = Clock::now();
-        for (int r = 0; r < pre_reps; ++r)
-            legacy_ranking = legacy_presample(stream, pre_nodes);
-        legacy_pre_s = seconds_since(t0);
-    }
 
     double fused_pre_s = 0.0;
     std::vector<NodeId> fused_ranking;
@@ -261,13 +179,11 @@ main(int argc, char **argv)
         }
         fused_pre_s = seconds_since(t0);
     }
-    const uint64_t fused_hash = fnv_bytes(
-        fused_ranking.data(), fused_ranking.size() * sizeof(NodeId));
-    const bool presample_identical =
-        check_witness("presample", fused_hash, presample_golden) &&
-        check_replica(fnv_bytes(legacy_ranking.data(),
-                                legacy_ranking.size() * sizeof(NodeId)),
-                      fused_hash);
+    const bool presample_identical = check_witness(
+        "presample",
+        fnv_bytes(fused_ranking.data(),
+                  fused_ranking.size() * sizeof(NodeId)),
+        presample_golden);
 
     // ---- JSON report ----------------------------------------------
     std::printf("{\n");
@@ -285,53 +201,30 @@ main(int argc, char **argv)
                     cfg.name, static_cast<long long>(cfg.num_nodes),
                     cfg.dim, static_cast<long long>(cfg.batch),
                     cfg.reps);
-        std::printf("       \"legacy_s\": %.6f, "
-                    "\"legacy_gb_per_s\": %.2f,\n",
-                    cfg.legacy_s,
-                    cfg.legacy_s > 0 ? panel_gb / cfg.legacy_s : 0.0);
         std::printf("       \"engine\": [\n");
         for (size_t i = 0; i < cfg.rows.size(); ++i) {
             const ThreadRow &r = cfg.rows[i];
             std::printf(
                 "         {\"threads\": %d, \"seconds\": %.6f, "
-                "\"gb_per_s\": %.2f, \"speedup_vs_legacy\": %.3f, "
-                "\"identical\": %s}%s\n",
+                "\"gb_per_s\": %.2f, \"identical\": %s}%s\n",
                 r.threads, r.seconds,
                 r.seconds > 0 ? panel_gb / r.seconds : 0.0,
-                r.seconds > 0 ? cfg.legacy_s / r.seconds : 0.0,
                 r.identical ? "true" : "false",
                 i + 1 < cfg.rows.size() ? "," : "");
         }
-        std::printf("       ],\n");
-        std::printf("       \"speedup_vs_legacy\": %.3f}%s\n",
-                    cfg.best_engine_s > 0
-                        ? cfg.legacy_s / cfg.best_engine_s
-                        : 0.0,
-                    c + 1 < cases.size() ? "," : "");
+        std::printf("       ]}%s\n", c + 1 < cases.size() ? "," : "");
     }
-    std::printf("    ],\n");
-    std::printf("    \"best_speedup_vs_legacy\": %.3f\n  },\n",
-                best_speedup);
+    std::printf("    ]\n  },\n");
 
     std::printf("  \"presample\": {\n");
     std::printf("    \"num_nodes\": %lld, \"stream\": %lld, "
                 "\"reps\": %d,\n",
                 static_cast<long long>(pre_nodes),
                 static_cast<long long>(stream_len), pre_reps);
-    std::printf("    \"legacy_two_pass_s\": %.6f,\n", legacy_pre_s);
     std::printf("    \"fused_one_pass_s\": %.6f,\n", fused_pre_s);
-    std::printf("    \"speedup\": %.3f,\n",
-                fused_pre_s > 0 ? legacy_pre_s / fused_pre_s : 0.0);
     std::printf("    \"identical\": %s\n  }\n",
                 presample_identical ? "true" : "false");
     std::printf("}\n");
 
-    // Replica divergence means the comparison was not apples-to-apples.
-    if (g_diverged) {
-        std::fprintf(stderr,
-                     "FATAL: fast-path output diverged from the legacy "
-                     "replica\n");
-        return 1;
-    }
-    return 0;
+    return g_diverged ? 1 : 0;
 }
