@@ -39,7 +39,6 @@ class GatLayer : public GnnLayer
     std::string name() const override { return "gat"; }
 
     int num_heads() const { return num_heads_; }
-    int64_t head_dim() const { return head_dim_; }
 
   protected:
     Tensor backward_impl(const sample::LayerBlock &block,

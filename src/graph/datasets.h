@@ -60,9 +60,6 @@ struct Dataset
     std::vector<NodeId> test_nodes; ///< Held-out test nodes.
     int64_t batch_size;   ///< Replica batch size (scaled from 8000).
     double scale;         ///< nodes(replica) / nodes(full).
-
-    /** Effective replica of the paper's batch size 8000 run. */
-    int64_t default_batch() const { return batch_size; }
 };
 
 /** Options controlling replica construction. */

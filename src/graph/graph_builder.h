@@ -29,9 +29,6 @@ class GraphBuilder
     /** Add both directions (undirected edge). */
     void add_undirected_edge(NodeId u, NodeId v);
 
-    /** Number of edges added so far. */
-    size_t edge_count() const { return edges_.size(); }
-
     NodeId num_nodes() const { return num_nodes_; }
 
     /**

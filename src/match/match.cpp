@@ -15,8 +15,6 @@ Matcher::plan(const NodeSet &next)
         next.difference(resident_, plan.load_nodes);
         plan.overlap_nodes = next.size() - plan.load_count();
     }
-    total_loaded_ += plan.load_count();
-    total_reused_ += plan.overlap_nodes;
     resident_ = next;
     has_resident_ = true;
     return plan;

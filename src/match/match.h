@@ -56,23 +56,9 @@ class Matcher
     /** Forget the resident batch (start of a fresh epoch/GPU). */
     void reset();
 
-    // --- cumulative statistics ---
-    int64_t total_loaded() const { return total_loaded_; }
-    int64_t total_reused() const { return total_reused_; }
-
-    /** Fraction of node loads avoided so far. */
-    double
-    reuse_fraction() const
-    {
-        const int64_t total = total_loaded_ + total_reused_;
-        return total ? double(total_reused_) / double(total) : 0.0;
-    }
-
   private:
     NodeSet resident_;
     bool has_resident_ = false;
-    int64_t total_loaded_ = 0;
-    int64_t total_reused_ = 0;
 };
 
 } // namespace match

@@ -14,13 +14,6 @@ shard_mode_name(ShardMode mode)
     return mode == ShardMode::kSharded ? "sharded" : "replicated";
 }
 
-const char *
-remote_policy_name(RemotePolicy policy)
-{
-    return policy == RemotePolicy::kFetchAndCache ? "fetch-and-cache"
-                                                  : "always-remote";
-}
-
 PartitionedFeatureCache::PartitionedFeatureCache(
     const graph::Partitioning &parts,
     const std::vector<graph::NodeId> &ranking,

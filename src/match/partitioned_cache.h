@@ -44,7 +44,6 @@ enum class RemotePolicy
 };
 
 const char *shard_mode_name(ShardMode mode);
-const char *remote_policy_name(RemotePolicy policy);
 
 /** Hit/miss tallies of one partition (or one aggregate). */
 struct PartitionCacheCounters
@@ -112,7 +111,6 @@ class PartitionedFeatureCache
     int num_devices() const { return num_devices_; }
     int num_parts() const { return int(part_counters_.size()); }
     ShardMode mode() const { return mode_; }
-    RemotePolicy policy() const { return policy_; }
     int64_t capacity_rows_per_device() const { return capacity_; }
 
     /** Per-device budget — the StaticFeatureCache accessor pair, so

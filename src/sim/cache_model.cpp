@@ -21,8 +21,7 @@ log2_exact(uint64_t value)
 
 CacheModel::CacheModel(uint64_t capacity_bytes, int line_bytes,
                        int associativity)
-    : capacity_bytes_(capacity_bytes),
-      line_bytes_(line_bytes),
+    : line_bytes_(line_bytes),
       line_shift_(log2_exact(static_cast<uint64_t>(line_bytes))),
       associativity_(associativity)
 {

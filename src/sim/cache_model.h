@@ -47,7 +47,6 @@ class CacheModel
     void reset();
 
     int line_bytes() const { return line_bytes_; }
-    uint64_t capacity_bytes() const { return capacity_bytes_; }
 
   private:
     struct Way
@@ -57,7 +56,6 @@ class CacheModel
         bool valid = false;
     };
 
-    uint64_t capacity_bytes_;
     int line_bytes_;
     int line_shift_;
     int associativity_;

@@ -53,9 +53,6 @@ class TaskSchedule
     /** Per-task timings; valid after run(). */
     const std::vector<TaskTiming> &timings() const { return timings_; }
 
-    size_t num_tasks() const { return durations_.size(); }
-    size_t num_resources() const { return resource_names_.size(); }
-
     /**
      * Export the executed schedule as a chrome://tracing JSON file
      * (load via chrome://tracing or https://ui.perfetto.dev).

@@ -181,7 +181,6 @@ class TieredFeatureStore
     const sim::StorageLink &link() const { return *link_; }
     const TieredStoreOptions &options() const { return opts_; }
     int64_t host_rows() const { return host_rows_; }
-    int64_t rows_per_block() const { return rows_per_block_; }
     int64_t num_blocks() const { return num_blocks_; }
 
   private:

@@ -126,16 +126,6 @@ class ArenaAllocator
         offset_ = wm_offset_;
     }
 
-    /** Bytes handed out since the last reset (excludes padding waste). */
-    size_t
-    bytes_in_use() const
-    {
-        size_t used = offset_;
-        for (size_t b = 0; b < current_; ++b)
-            used += blocks_[b].capacity;
-        return used;
-    }
-
     /** Total bytes reserved from the heap across all blocks. */
     size_t
     capacity() const

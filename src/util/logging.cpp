@@ -9,68 +9,35 @@ namespace util {
 
 namespace {
 
-LogLevel g_level = LogLevel::kInfo;
 std::mutex g_mutex;
 
-const char *
-level_name(LogLevel level)
+/** Write one "[fastgl:<tag>] <message>" line to stderr. */
+void
+emit(const char *tag, const std::string &message)
 {
-    switch (level) {
-      case LogLevel::kDebug: return "DEBUG";
-      case LogLevel::kInfo:  return "INFO ";
-      case LogLevel::kWarn:  return "WARN ";
-      case LogLevel::kError: return "ERROR";
-      default:               return "?????";
-    }
+    std::lock_guard<std::mutex> lock(g_mutex);
+    std::cerr << "[fastgl:" << tag << "] " << message << '\n';
 }
 
 } // namespace
 
 void
-set_log_level(LogLevel level)
-{
-    g_level = level;
-}
-
-LogLevel
-log_level()
-{
-    return g_level;
-}
-
-void
-log_message(LogLevel level, const std::string &message)
-{
-    if (static_cast<int>(level) < static_cast<int>(g_level))
-        return;
-    std::lock_guard<std::mutex> lock(g_mutex);
-    std::ostream &out = (level >= LogLevel::kWarn) ? std::cerr : std::cout;
-    out << "[fastgl:" << level_name(level) << "] " << message << '\n';
-}
-
-void
-inform(const std::string &message)
-{
-    log_message(LogLevel::kInfo, message);
-}
-
-void
 warn(const std::string &message)
 {
-    log_message(LogLevel::kWarn, message);
+    emit("WARN ", message);
 }
 
 void
 fatal(const std::string &message)
 {
-    log_message(LogLevel::kError, "fatal: " + message);
+    emit("ERROR", "fatal: " + message);
     std::exit(1);
 }
 
 void
 panic(const std::string &message)
 {
-    log_message(LogLevel::kError, "panic: " + message);
+    emit("ERROR", "panic: " + message);
     std::abort();
 }
 

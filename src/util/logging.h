@@ -1,33 +1,17 @@
 /**
  * @file
- * Minimal severity-levelled logging for the FastGL library.
+ * Minimal error reporting for the FastGL library.
  *
  * Follows the gem5 convention: fatal() is for user errors the program
  * cannot recover from (exits with code 1); panic() is for internal
- * invariant violations (aborts). warn()/inform() never stop execution.
+ * invariant violations (aborts). warn() never stops execution.
  */
 #pragma once
 
-#include <sstream>
 #include <string>
 
 namespace fastgl {
 namespace util {
-
-/** Severity of a log record. */
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kNone = 4 };
-
-/** Set the global minimum level that is actually emitted. */
-void set_log_level(LogLevel level);
-
-/** Current global minimum level. */
-LogLevel log_level();
-
-/** Emit one record at @p level; a newline is appended. */
-void log_message(LogLevel level, const std::string &message);
-
-/** Informative message the user should see but not worry about. */
-void inform(const std::string &message);
 
 /** Something works well enough but deserves attention. */
 void warn(const std::string &message);
@@ -44,30 +28,8 @@ void warn(const std::string &message);
  */
 [[noreturn]] void panic(const std::string &message);
 
-/** Stream-style helper: FASTGL_LOG(kInfo) << "x=" << x; */
-class LogStream
-{
-  public:
-    explicit LogStream(LogLevel level) : level_(level) {}
-    ~LogStream() { log_message(level_, stream_.str()); }
-
-    template <typename T>
-    LogStream &
-    operator<<(const T &value)
-    {
-        stream_ << value;
-        return *this;
-    }
-
-  private:
-    LogLevel level_;
-    std::ostringstream stream_;
-};
-
 } // namespace util
 } // namespace fastgl
-
-#define FASTGL_LOG(level) ::fastgl::util::LogStream(::fastgl::util::LogLevel::level)
 
 /** Assert an internal invariant; compiled in all build types. */
 #define FASTGL_CHECK(cond, msg)                                              \

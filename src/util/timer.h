@@ -30,13 +30,6 @@ class WallTimer
         return std::chrono::duration<double>(Clock::now() - start_).count();
     }
 
-    /** Microseconds since construction or the last reset(). */
-    uint64_t
-    elapsed_micros() const
-    {
-        return static_cast<uint64_t>(elapsed_seconds() * 1e6);
-    }
-
   private:
     using Clock = std::chrono::steady_clock;
     Clock::time_point start_;

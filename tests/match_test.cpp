@@ -213,7 +213,6 @@ TEST(Matcher, SecondBatchLoadsOnlyDifference)
     const auto plan = matcher.plan(match::NodeSet({0, 3, 4, 10, 12}));
     EXPECT_EQ(plan.overlap_nodes, 3); // 0, 3, 4
     EXPECT_EQ(plan.load_nodes, (std::vector<graph::NodeId>{10, 12}));
-    EXPECT_DOUBLE_EQ(matcher.reuse_fraction(), 3.0 / 10.0);
 }
 
 TEST(Matcher, LoadBytesScalesWithRowBytes)
