@@ -11,7 +11,6 @@
 #include <thread>
 #include <utility>
 
-#include "sample/frequency_hashmap.h"
 #include "sample/neighbor_sampler.h"
 #include "util/fnv.h"
 #include "util/in_order_ring.h"
@@ -27,7 +26,6 @@ using Clock = std::chrono::steady_clock;
 
 /** Stream tags for derive_seed (arbitrary, fixed forever). */
 constexpr uint64_t kSampleStream = 0x5E31;
-constexpr uint64_t kPresampleStream = 0x5E32;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -116,44 +114,14 @@ Server::Server(const graph::Dataset &dataset, ServerOptions opts,
     // rows describe the same nodes — as they do in a deployed system
     // whose cache is refilled from live access frequencies. A warmup
     // trace, being exactly such a record of live frequencies, takes
-    // precedence over the synthetic policies.
+    // precedence over degree order.
     if (!opts_.warmup.empty()) {
         FASTGL_CHECK(opts_.warmup.frequencies.size() ==
                          static_cast<size_t>(n),
                      "warmup trace size != graph node count");
         ranking_ = match::presample_ranking(opts_.warmup.frequencies);
-    } else if (opts_.cache_policy == match::CachePolicy::kDegree) {
-        ranking_ = match::degree_ranking(dataset_.graph);
     } else {
-        // GNNLab-style presample: run a few training batches through
-        // the sampler and rank nodes by appearance frequency, counting
-        // while deduping in one pass (sample::FrequencyHashmap) —
-        // identical ranking to the old dense count array, without the
-        // num_nodes-sized allocation and full-graph sort. The
-        // presample draws from its own derived streams, never shared
-        // with serving requests.
-        sample::NeighborSamplerOptions nopts;
-        nopts.fanouts = opts_.fanouts;
-        nopts.seed = opts_.seed + 101;
-        sample::NeighborSampler sampler(dataset_.graph, nopts);
-        const size_t batch =
-            std::max<size_t>(1, static_cast<size_t>(
-                                    dataset_.batch_size));
-        const auto &train = dataset_.train_nodes;
-        const size_t batches =
-            std::min<size_t>(4, (train.size() + batch - 1) / batch);
-        sample::FrequencyHashmap freq(batches * batch);
-        for (size_t b = 0; b < batches; ++b) {
-            const size_t begin = b * batch;
-            const size_t end = std::min(train.size(), begin + batch);
-            const sample::SampledSubgraph sg = sampler.sample(
-                std::span<const graph::NodeId>(train.data() + begin,
-                                               end - begin),
-                util::derive_seed(opts_.seed, kPresampleStream, b));
-            freq.add_stream(sg.nodes);
-        }
-        ranking_ =
-            match::presample_ranking(freq.uniques(), freq.counts(), n);
+        ranking_ = match::degree_ranking(dataset_.graph);
     }
 
     if (opts_.feature_cache_ratio > 0.0)

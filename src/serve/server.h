@@ -175,7 +175,7 @@ struct ServerOptions
     /**
      * Warmup trace recorded from a training epoch (or any presample
      * sweep). When non-empty: the feature-cache hotness ranking is
-     * presample_ranking(warmup.frequencies) — overriding cache_policy —
+     * presample_ranking(warmup.frequencies) instead of degree order,
      * and every serve() call starts with each tier's embedding cache
      * seeded with the hottest nodes at virtual time 0 instead of cold.
      */
@@ -185,9 +185,6 @@ struct ServerOptions
      * 0 disables the feature cache.
      */
     double feature_cache_ratio = 0.2;
-    /** Hotness ranking that fills the feature cache (overridden by a
-     *  non-empty warmup trace). */
-    match::CachePolicy cache_policy = match::CachePolicy::kDegree;
     /** Embedding cache of the single-model configuration; ignored when
      *  `models` is non-empty (each tier brings its own). */
     EmbeddingCacheOptions embedding;
