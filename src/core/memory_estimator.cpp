@@ -8,6 +8,16 @@
 namespace fastgl {
 namespace core {
 
+namespace {
+
+/**
+ * Allocator/workspace multiplier on the per-iteration tensors (caching
+ * allocators hold pools well above the live set).
+ */
+constexpr double kWorkspaceFactor = 2.7;
+
+} // namespace
+
 std::vector<double>
 expected_unique_frontier(const graph::FullScaleSpec &spec,
                          const MemoryEstimatorOptions &opts)
@@ -88,7 +98,7 @@ estimate_training_memory(graph::DatasetId id,
     const double topo_copies = opts.fastgl_topology_only ? 1.0 : 2.0;
     const double batch_topology = edges * 12.0 * topo_copies;
 
-    const double w = opts.workspace_factor;
+    const double w = kWorkspaceFactor;
     est.features = static_cast<uint64_t>(
         (features_resident ? full_features : 0.0) + batch_features);
     est.activations = static_cast<uint64_t>(act);

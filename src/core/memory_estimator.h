@@ -34,11 +34,6 @@ struct MemoryEstimatorOptions
      * (hub concentration shrinks this below 1 on power-law graphs).
      */
     double reachable_fraction = 0.5;
-    /**
-     * Allocator/workspace multiplier on the per-iteration tensors
-     * (caching allocators hold pools well above the live set).
-     */
-    double workspace_factor = 2.7;
     /** FastGL stores only the current subgraph's topology (Table 9). */
     bool fastgl_topology_only = false;
 };

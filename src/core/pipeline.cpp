@@ -11,6 +11,13 @@
 namespace fastgl {
 namespace core {
 
+namespace {
+
+/** Per-hop network latency of the inter-machine ring. */
+constexpr double kNetworkLatency = 20e-6;
+
+} // namespace
+
 uint64_t
 model_param_bytes(const compute::ModelConfig &config)
 {
@@ -457,7 +464,7 @@ Pipeline::finalize_epoch(
         allreduce_time +=
             2.0 * double(param_bytes_) * double(machines - 1) /
                 double(machines) / opts_.network_bw +
-            2.0 * double(machines - 1) * opts_.network_latency;
+            2.0 * double(machines - 1) * kNetworkLatency;
     }
 
     for (size_t it = 0; it < max_iters; ++it) {

@@ -80,8 +80,6 @@ struct PipelineOptions
     int num_machines = 1;
     /** Inter-machine network bandwidth (default 100 Gb/s Ethernet). */
     double network_bw = 12.5e9;
-    /** Per-hop network latency for the inter-machine ring. */
-    double network_latency = 20e-6;
 };
 
 /** Runs epochs for one dataset under one framework configuration. */

@@ -12,6 +12,9 @@ namespace graph {
 
 namespace {
 
+/** Smallest expected degree the power-law draw scales from. */
+constexpr EdgeId kMinDegree = 2;
+
 /** Smallest power of two >= n. */
 NodeId
 ceil_pow2(NodeId n)
@@ -85,7 +88,7 @@ generate_power_law(const PowerLawParams &params)
     const double alpha = params.exponent - 1.0;
     for (NodeId u = 0; u < n; ++u) {
         const double uniform = std::max(rng.next_double(), 1e-12);
-        double w = static_cast<double>(params.min_degree) *
+        double w = static_cast<double>(kMinDegree) *
                    std::pow(uniform, -1.0 / alpha);
         // Clip the heavy tail so a single hub cannot absorb the edge budget.
         w = std::min(w, std::sqrt(static_cast<double>(n)) *

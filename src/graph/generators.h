@@ -40,7 +40,6 @@ struct PowerLawParams
     NodeId num_nodes = 1 << 14;
     double avg_degree = 16.0;
     double exponent = 2.1;       ///< Degree distribution exponent (>2).
-    EdgeId min_degree = 2;
     bool undirected = true;
     uint64_t seed = 42;
 };

@@ -18,6 +18,16 @@ constexpr uint64_t kClassStream = 0x5E23;
 constexpr uint64_t kModelStream = 0x5E24;
 constexpr uint64_t kThinkStream = 0x5E25;
 
+/** Virtual seconds per diurnal cycle (kDiurnal). */
+constexpr double kDiurnalPeriod = 200e-3;
+/** Peak-to-mean swing of the diurnal rate (kDiurnal). */
+constexpr double kDiurnalAmplitude = 0.6;
+
+/** Skew: the first kHotFraction of the population receives
+ *  kHotTraffic of all target draws. */
+constexpr double kHotFraction = 0.10;
+constexpr double kHotTraffic = 0.80;
+
 /**
  * Draw an index from normalised @p shares with one uniform variate;
  * degenerate shares (sum <= 0) fall back to @p fallback.
@@ -108,8 +118,6 @@ LoadGenerator::LoadGenerator(std::span<const graph::NodeId> population,
                          population_.size(),
                  "LoadGenerator targets_per_request must be in "
                  "[1, population size]");
-    opts_.hot_fraction = std::clamp(opts_.hot_fraction, 0.0, 1.0);
-    opts_.hot_traffic = std::clamp(opts_.hot_traffic, 0.0, 1.0);
     for (double &scale : opts_.class_slo_scale)
         scale = std::max(1e-9, scale);
 }
@@ -122,9 +130,9 @@ LoadGenerator::rate_at(double t) const
         return opts_.rate_rps;
       case ArrivalTrace::kDiurnal:
         return opts_.rate_rps *
-               (1.0 + opts_.diurnal_amplitude *
+               (1.0 + kDiurnalAmplitude *
                           std::sin(2.0 * 3.14159265358979323846 * t /
-                                   opts_.diurnal_period));
+                                   kDiurnalPeriod));
       case ArrivalTrace::kFlashCrowd:
         return t >= opts_.flash_start &&
                        t < opts_.flash_start + opts_.flash_duration
@@ -140,7 +148,7 @@ LoadGenerator::draw_request(int64_t id) const
     const size_t pop = population_.size();
     const size_t hot =
         std::max<size_t>(1, static_cast<size_t>(
-                                std::llround(opts_.hot_fraction *
+                                std::llround(kHotFraction *
                                              static_cast<double>(pop))));
 
     InferenceRequest req;
@@ -172,7 +180,7 @@ LoadGenerator::draw_request(int64_t id) const
         static_cast<size_t>(opts_.targets_per_request));
     while (req.targets.size() <
            static_cast<size_t>(opts_.targets_per_request)) {
-        const bool from_hot = rng.next_double() < opts_.hot_traffic;
+        const bool from_hot = rng.next_double() < kHotTraffic;
         const size_t bound = from_hot ? hot : pop;
         const graph::NodeId node = population_[rng.next_below(bound)];
         // Targets are distinct within a request (the embedding is

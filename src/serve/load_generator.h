@@ -6,7 +6,9 @@
  * is fixed and an overloaded server falls behind, which is the regime
  * where admission control earns its keep. Arrival gaps are exponential
  * (Poisson process) and targets follow a hot/cold skew over a caller-
- * supplied popularity order, so a hotness-ranked cache can actually hit.
+ * supplied popularity order, so a hotness-ranked cache can actually hit:
+ * the first 10% of the population receives 80% of all target draws, and
+ * the rest is uniform over the whole population.
  *
  * The whole trace is a pure function of the options (every stochastic
  * choice draws from util::Rng streams derived via util::derive_seed),
@@ -35,9 +37,8 @@ enum class ArrivalTrace
     /** lambda(t) = rate_rps (the classic Poisson trace). */
     kConstant,
     /**
-     * lambda(t) = rate_rps * (1 + diurnal_amplitude *
-     * sin(2*pi*t/diurnal_period)) — a day/night cycle compressed to
-     * the virtual horizon.
+     * lambda(t) = rate_rps * (1 + 0.6 * sin(2*pi*t / 200 ms)) — a
+     * day/night cycle compressed to the virtual horizon.
      */
     kDiurnal,
     /**
@@ -59,10 +60,6 @@ struct LoadGeneratorOptions
     /** Arrival-rate curve; kConstant replays earlier PRs' traces
      *  bit-identically. */
     ArrivalTrace trace = ArrivalTrace::kConstant;
-    /** Virtual seconds per diurnal cycle (kDiurnal). */
-    double diurnal_period = 200e-3;
-    /** Peak-to-mean swing of the diurnal rate in [0, 1) (kDiurnal). */
-    double diurnal_amplitude = 0.6;
     /** Flash-crowd window start on the virtual clock (kFlashCrowd). */
     double flash_start = 50e-3;
     /** Flash-crowd window length in virtual seconds (kFlashCrowd). */
@@ -75,14 +72,6 @@ struct LoadGeneratorOptions
     int targets_per_request = 1;
     /** Per-request latency budget; deadline = arrival + this. */
     double slo_deadline = 50e-3;
-    /**
-     * Skew: the first hot_fraction of the population receives
-     * hot_traffic of all target draws; the rest is uniform over the
-     * whole population. hot_traffic = hot_fraction degenerates to
-     * uniform traffic.
-     */
-    double hot_fraction = 0.10;
-    double hot_traffic = 0.80;
     /**
      * Share of requests in each priority class, indexed by Priority
      * (paid, standard, best-effort); normalised internally. The

@@ -7,6 +7,15 @@
 namespace fastgl {
 namespace sim {
 
+namespace {
+
+/** NVLink bandwidth per direction (3090 bridge: 56.25 GB/s). */
+constexpr double kNvlinkBw = 56.25e9;
+/** Per-transfer NVLink launch latency. */
+constexpr double kNvlinkLatency = 2e-6;
+
+} // namespace
+
 const char *
 peer_link_kind_name(PeerLinkKind kind)
 {
@@ -22,14 +31,11 @@ peer_link_kind_name(PeerLinkKind kind)
 }
 
 PeerTopology::PeerTopology(const GpuSpec &spec, PeerTopologyOptions opts)
-    : opts_(opts)
+    : opts_(opts), pcie_peer_bw_(spec.pcie_bw),
+      pcie_peer_latency_(2.0 * spec.pcie_latency)
 {
     FASTGL_CHECK(opts_.num_devices >= 1,
                  "peer topology needs >= 1 device");
-    if (opts_.pcie_peer_bw <= 0.0)
-        opts_.pcie_peer_bw = spec.pcie_bw;
-    if (opts_.pcie_peer_latency <= 0.0)
-        opts_.pcie_peer_latency = 2.0 * spec.pcie_latency;
     const size_t n = static_cast<size_t>(opts_.num_devices);
     links_.resize(n * n);
     for (int s = 0; s < opts_.num_devices; ++s) {
@@ -72,11 +78,10 @@ PeerTopology::estimate(int src, int dst, uint64_t bytes) const
     case PeerLinkKind::kLoopback:
         return 0.0;
     case PeerLinkKind::kNvlink:
-        return opts_.nvlink_latency +
-               static_cast<double>(bytes) / opts_.nvlink_bw;
+        return kNvlinkLatency + static_cast<double>(bytes) / kNvlinkBw;
     case PeerLinkKind::kPciePeer:
-        return opts_.pcie_peer_latency +
-               static_cast<double>(bytes) / opts_.pcie_peer_bw;
+        return pcie_peer_latency_ +
+               static_cast<double>(bytes) / pcie_peer_bw_;
     }
     return 0.0;
 }

@@ -50,20 +50,6 @@ struct PeerTopologyOptions
      * anywhere — every peer hop crosses PCIe).
      */
     int nvlink_span = 1;
-    /** NVLink bandwidth per direction (3090 bridge: 56.25 GB/s). */
-    double nvlink_bw = 56.25e9;
-    /** Per-transfer NVLink launch latency. */
-    double nvlink_latency = 2e-6;
-    /**
-     * PCIe peer bandwidth; <= 0 derives from GpuSpec::pcie_bw (the
-     * peer path shares the host link).
-     */
-    double pcie_peer_bw = 0.0;
-    /**
-     * PCIe peer latency; <= 0 derives as 2x GpuSpec::pcie_latency
-     * (down to the root complex and back up).
-     */
-    double pcie_peer_latency = 0.0;
 };
 
 /** Cumulative traffic of one ordered device pair. */
@@ -114,6 +100,12 @@ class PeerTopology
     size_t index(int src, int dst) const;
 
     PeerTopologyOptions opts_;
+    /** PCIe peer bandwidth: GpuSpec::pcie_bw (the peer path shares
+     *  the host link). */
+    double pcie_peer_bw_;
+    /** PCIe peer latency: 2x GpuSpec::pcie_latency (down to the root
+     *  complex and back up). */
+    double pcie_peer_latency_;
     std::vector<PeerLinkStats> links_; ///< num_devices^2, src-major.
 };
 

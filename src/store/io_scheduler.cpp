@@ -13,7 +13,6 @@ IoScheduler::IoScheduler(sim::StorageLink *link, int64_t num_blocks,
 {
     FASTGL_CHECK(link_ != nullptr, "IoScheduler needs a StorageLink");
     FASTGL_CHECK(num_blocks_ >= 0, "negative block count");
-    FASTGL_CHECK(opts_.block_bytes > 0, "zero block size");
     opts_.staging_blocks = std::max<int64_t>(1, opts_.staging_blocks);
     staged_.assign(static_cast<size_t>(num_blocks_), 0);
     seen_stamp_.assign(static_cast<size_t>(num_blocks_), 0);
@@ -54,8 +53,7 @@ IoScheduler::submit(std::span<const int64_t> blocks, bool prefetch)
         return 0.0;
 
     const double seconds = link_->read_blocks(
-        static_cast<int64_t>(fresh_.size()), opts_.block_bytes,
-        opts_.max_inflight);
+        static_cast<int64_t>(fresh_.size()), kBlockBytes);
     stats_.fetched_blocks += static_cast<int64_t>(fresh_.size());
     if (prefetch)
         stats_.prefetch_seconds += seconds;

@@ -13,8 +13,8 @@
  *    buffer (the host-pinned bounce buffer a real GIDS-style reader
  *    keeps); a request that finds its block staged pays nothing;
  *  - **windowing** — the surviving reads are issued to the
- *    sim::StorageLink in bounded in-flight windows, so a batch of
- *    reads pays ceil(n / window) read latencies, not n.
+ *    sim::StorageLink in windows of the drive's queue depth, so a
+ *    batch of reads pays ceil(n / window) read latencies, not n.
  *
  * Deterministic and single-writer: only one sequencing loop (trainer
  * epoch loop, serving sequencer) drives a scheduler, so plain counters
@@ -32,13 +32,12 @@
 namespace fastgl {
 namespace store {
 
+/** Bytes per storage block. */
+inline constexpr uint64_t kBlockBytes = 16384;
+
 /** IoScheduler tuning knobs. */
 struct IoSchedulerOptions
 {
-    /** Bytes per storage block. */
-    uint64_t block_bytes = 16384;
-    /** In-flight reads per window (<= 0: the drive's queue depth). */
-    int max_inflight = 0;
     /** Staging-buffer capacity in blocks (FIFO eviction). */
     int64_t staging_blocks = 4096;
 };
@@ -61,7 +60,7 @@ class IoScheduler
     /**
      * @param link       the modelled drive (owned by the caller)
      * @param num_blocks total blocks the store spans
-     * @param opts       block size / window / staging capacity
+     * @param opts       staging capacity
      */
     IoScheduler(sim::StorageLink *link, int64_t num_blocks,
                 IoSchedulerOptions opts);

@@ -32,7 +32,6 @@ TieredFeatureStore::TieredFeatureStore(
 {
     FASTGL_CHECK(graph.num_nodes() == num_nodes_,
                  "graph / feature store node count mismatch");
-    FASTGL_CHECK(opts_.block_bytes > 0, "zero storage block size");
 
     // Host-DRAM residency: the hottest prefix of the ranking, row
     // granular and layout independent — so switching the layout moves
@@ -79,7 +78,7 @@ TieredFeatureStore::TieredFeatureStore(
     const uint64_t row_bytes = std::max<uint64_t>(
         1, features.row_bytes());
     rows_per_block_ = std::max<int64_t>(
-        1, static_cast<int64_t>(opts_.block_bytes / row_bytes));
+        1, static_cast<int64_t>(kBlockBytes / row_bytes));
     num_blocks_ = (static_cast<int64_t>(num_nodes_) + rows_per_block_ -
                    1) /
                   rows_per_block_;
@@ -90,8 +89,6 @@ TieredFeatureStore::TieredFeatureStore(
                                       : sim::nvme_spec();
     link_ = std::make_unique<sim::StorageLink>(spec);
     IoSchedulerOptions io;
-    io.block_bytes = opts_.block_bytes;
-    io.max_inflight = opts_.max_inflight;
     io.staging_blocks = opts_.staging_blocks;
     scheduler_ =
         std::make_unique<IoScheduler>(link_.get(), num_blocks_, io);

@@ -3,7 +3,7 @@
  * TieredFeatureStore — the out-of-core tier below the device caches
  * (store::FeatureResidency stacks the two). The hottest host_mem share
  * of all rows lives in host DRAM; everything else sits on a modelled
- * NVMe/SSD drive (sim::StorageLink) in block_bytes blocks laid out by
+ * NVMe/SSD drive (sim::StorageLink) in kBlockBytes blocks laid out by
  * store::FeatureLayout. A row on neither a device cache nor host DRAM
  * maps to its block and goes through the IoScheduler (coalescing,
  * staging, bounded in-flight windows); the LookaheadPrefetcher reads
@@ -53,10 +53,6 @@ struct TieredStoreOptions
     double host_mem_fraction = 1.0;
     /** >= 0: host-resident rows directly, overriding the fraction. */
     int64_t host_mem_rows = -1;
-    /** Bytes per storage block. */
-    uint64_t block_bytes = 16384;
-    /** In-flight reads per window (<= 0: the drive queue depth). */
-    int max_inflight = 0;
     /** Batches of sampler lookahead the prefetcher consumes; 0
      *  disables prefetching (demand reads only). */
     int prefetch_depth = 2;

@@ -115,7 +115,7 @@ TEST(OocStoreScheduler, CoalescesDuplicateBlocksInOneSubmission)
     EXPECT_EQ(sched.stats().coalesced_blocks, 4); // four duplicates
     EXPECT_EQ(sched.stats().fetched_blocks, 2);   // blocks 5 and 9
     EXPECT_EQ(link.blocks_read(), 2);
-    EXPECT_DOUBLE_EQ(t, link.estimate_blocks(2, opts.block_bytes));
+    EXPECT_DOUBLE_EQ(t, link.estimate_blocks(2, store::kBlockBytes));
 
     // The same blocks again: fully staged, nothing hits the drive.
     EXPECT_DOUBLE_EQ(sched.submit(blocks, false), 0.0);

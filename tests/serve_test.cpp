@@ -134,8 +134,6 @@ TEST(LoadGenerator, HotTrafficConcentratesOnHeadOfPopulation)
 
     serve::LoadGeneratorOptions opts;
     opts.num_requests = 4000;
-    opts.hot_fraction = 0.10;
-    opts.hot_traffic = 0.80;
     opts.seed = 7;
     serve::LoadGenerator gen(population, opts);
 
