@@ -27,6 +27,8 @@
 #include "util/fnv.h"
 #include "util/rng.h"
 
+#include "bench_witness.h"
+
 namespace {
 
 using namespace fastgl;
@@ -66,21 +68,6 @@ constexpr Goldens kFullGoldens = {
 constexpr Goldens kSmokeGoldens = {
     0x3FA29AD1E639173FULL, 0x62C036F921576405ULL, 0x68F3B60AA2E1D4C7ULL,
     0x1C67DF27FF5E4EB7ULL, 0x7A17787AD2438EF7ULL};
-
-bool g_diverged = false;
-
-/** Check one live digest against its golden; divergence is fatal. */
-bool
-check_witness(const char *name, uint64_t live, uint64_t golden)
-{
-    if (live == golden)
-        return true;
-    std::fprintf(stderr, "FATAL: %s digest 0x%016llX, pinned 0x%016llX\n",
-                 name, static_cast<unsigned long long>(live),
-                 static_cast<unsigned long long>(golden));
-    g_diverged = true;
-    return false;
-}
 
 struct GemmRow
 {

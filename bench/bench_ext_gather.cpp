@@ -33,6 +33,8 @@
 #include "util/fnv.h"
 #include "util/rng.h"
 
+#include "bench_witness.h"
+
 namespace {
 
 using namespace fastgl;
@@ -46,21 +48,6 @@ double
 seconds_since(Clock::time_point start)
 {
     return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-bool g_diverged = false;
-
-/** Check one live digest against its golden; divergence is fatal. */
-bool
-check_witness(const char *name, uint64_t live, uint64_t golden)
-{
-    if (live == golden)
-        return true;
-    std::fprintf(stderr, "FATAL: %s digest 0x%016llX, pinned 0x%016llX\n",
-                 name, static_cast<unsigned long long>(live),
-                 static_cast<unsigned long long>(golden));
-    g_diverged = true;
-    return false;
 }
 
 struct ThreadRow

@@ -28,6 +28,8 @@
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
+#include "bench_witness.h"
+
 namespace {
 
 using namespace fastgl;
@@ -84,21 +86,6 @@ constexpr Goldens kFullGoldens = {0x3A50955FC1C57451ULL,
 constexpr Goldens kSmokeGoldens = {0x0499086F25991EE9ULL,
                                    0x5C9F07C49E299FDBULL,
                                    0x5732AFF6A84713D6ULL};
-
-bool g_diverged = false;
-
-/** Check one live digest against its golden; divergence is fatal. */
-bool
-check_witness(const char *name, uint64_t live, uint64_t golden)
-{
-    if (live == golden)
-        return true;
-    std::fprintf(stderr, "FATAL: %s digest 0x%016llX, pinned 0x%016llX\n",
-                 name, static_cast<unsigned long long>(live),
-                 static_cast<unsigned long long>(golden));
-    g_diverged = true;
-    return false;
-}
 
 // ------------------------------------------------------------------
 // Benchmark sections.
