@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -246,6 +247,65 @@ TEST(GatherEngine, GoldenHashesPinLegacyGatherOutput)
                 << "golden case " << c + 1 << " threads=" << threads;
         }
     }
+}
+
+// ----------------------------------------------------- on-demand rows
+//
+// FNV digests of regenerated rows, pinned before the row generator ran
+// rows side by side in SIMD lanes. Lists of every length from 1 to 17
+// leave every ragged tail of a 4- or 8-lane group, also inside the
+// shards of a 4-wide engine.
+
+/** Digest of every panel @p engine gathers from @p store. */
+uint64_t
+on_demand_digest(const FeatureStore &store, GatherEngine &engine)
+{
+    const NodeId n = store.num_nodes();
+    uint64_t h = util::kFnvOffset;
+    for (NodeId len = 1; len <= 17; ++len) {
+        std::vector<NodeId> nodes;
+        for (NodeId i = 0; i < len; ++i)
+            nodes.push_back((len * 131 + i * 977) % n);
+        h = util::fnv(h, panel_hash(engine.gather(store, nodes)));
+    }
+    util::Rng rng(0xD1CE);
+    std::vector<NodeId> random(1000);
+    for (NodeId &u : random)
+        u = static_cast<NodeId>(rng.next_below(static_cast<uint64_t>(n)));
+    return util::fnv(h, panel_hash(engine.gather(store, random)));
+}
+
+TEST(FeatureStore, OnDemandRowsArePinned)
+{
+    struct Shape
+    {
+        int dim;
+        int classes;
+        uint64_t want;
+    };
+    const std::vector<Shape> shapes = {
+        {1, 3, 0x2FC07939B4141238ULL},
+        {7, 5, 0xFA59E31ECCB25C22ULL},
+        {200, 47, 0xFE5F26AE85366225ULL},
+        {257, 11, 0x682E8BDE73286775ULL},
+    };
+    for (const Shape &s : shapes) {
+        const FeatureStore store(4000, s.dim, s.classes, 0x5EED + s.dim,
+                                 /*materialize=*/false);
+        for (const int threads : {1, 4}) {
+            GatherEngine engine(threads);
+            EXPECT_EQ(on_demand_digest(store, engine), s.want)
+                << "dim=" << s.dim << " threads=" << threads;
+        }
+    }
+
+    const FeatureStore materialized(3000, 200, 47, 0xFEA7);
+    uint64_t h = util::kFnvOffset;
+    for (NodeId u = 0; u < materialized.num_nodes(); ++u) {
+        const std::span<const float> row = materialized.row(u);
+        h = util::fnv(h, fnv_bytes(row.data(), row.size_bytes()));
+    }
+    EXPECT_EQ(h, 0xA7EC2E658CCC2ABBULL);
 }
 
 // ------------------------------------------- hoisted bounds validation
