@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "util/arena.h"
+#include "util/isa.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -26,8 +25,7 @@ namespace {
 #undef FASTGL_KERNEL_VEC_BYTES
 #undef FASTGL_KERNEL_NS
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define FASTGL_HAVE_AVX2_VARIANT 1
+#ifdef FASTGL_HAVE_ISA_STAMPS
 #pragma GCC push_options
 #pragma GCC target("avx2")
 #define FASTGL_KERNEL_NS avx2
@@ -71,7 +69,7 @@ constexpr Kernels kBaseKernels{base::pack_panels, base::pack_panels_t,
 
 constexpr size_t kPanelAlign = base::kPanelAlign;
 
-#ifdef FASTGL_HAVE_AVX2_VARIANT
+#ifdef FASTGL_HAVE_ISA_STAMPS
 constexpr Kernels kAvx2Kernels{avx2::pack_panels, avx2::pack_panels_t,
                                avx2::gemm_rows<false>,
                                avx2::gemm_rows<true>,
@@ -141,17 +139,13 @@ const Kernels &
 kernels()
 {
     static const Kernels selected = [] {
-        const char *force = std::getenv("FASTGL_KERNEL_ISA");
-        const std::string isa = force ? force : "";
-        if (!isa.empty() && isa != "base" && isa != "avx2")
-            fastgl::util::fatal("FASTGL_KERNEL_ISA=" + isa +
-                                ": expected base or avx2");
-        if (isa == "base")
+        const fastgl::util::ForcedIsa forced = fastgl::util::forced_isa();
+        if (forced == fastgl::util::ForcedIsa::kBase)
             return kBaseKernels;
-#ifdef FASTGL_HAVE_AVX2_VARIANT
+#ifdef FASTGL_HAVE_ISA_STAMPS
+        if (forced == fastgl::util::ForcedIsa::kAvx2)
+            return kAvx2Kernels;
         if (__builtin_cpu_supports("avx2")) {
-            if (isa == "avx2")
-                return kAvx2Kernels;
             Kernels mixed = kBaseKernels;
             if (time_gemm(kAvx2Kernels) < time_gemm(kBaseKernels)) {
                 mixed.pack_b = kAvx2Kernels.pack_b;
@@ -166,9 +160,6 @@ kernels()
             return mixed;
         }
 #endif
-        if (isa == "avx2")
-            fastgl::util::fatal("FASTGL_KERNEL_ISA=avx2: this build or "
-                                "CPU has no avx2 kernel stamp");
         return kBaseKernels;
     }();
     return selected;
