@@ -54,9 +54,7 @@ train_with(const graph::Dataset &ds,
         result.unique_nodes += sg.num_nodes();
 
         compute::Tensor x(sg.num_nodes(), ds.features.dim());
-        for (int64_t i = 0; i < sg.num_nodes(); ++i)
-            ds.features.gather_row(sg.nodes[size_t(i)],
-                                   x.row(i).data());
+        ds.features.gather_rows(sg.nodes, x.data());
         compute::Tensor logits = model.forward(sg, x);
         std::vector<int> labels(size_t(sg.num_seeds));
         for (int64_t i = 0; i < sg.num_seeds; ++i)

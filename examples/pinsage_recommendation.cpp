@@ -90,9 +90,7 @@ main()
         for (int64_t b = 0; b < batches; ++b) {
             const auto sg = sampler.sample(splitter.batch(b));
             compute::Tensor x(sg.num_nodes(), ds.features.dim());
-            for (int64_t i = 0; i < sg.num_nodes(); ++i)
-                ds.features.gather_row(sg.nodes[size_t(i)],
-                                       x.row(i).data());
+            ds.features.gather_rows(sg.nodes, x.data());
             compute::Tensor logits = model.forward(sg, x);
             std::vector<int> labels(size_t(sg.num_seeds));
             for (int64_t i = 0; i < sg.num_seeds; ++i)

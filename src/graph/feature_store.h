@@ -18,6 +18,36 @@
 namespace fastgl {
 namespace graph {
 
+/**
+ * One instruction-set stamp of the on-demand row generator. A stamp
+ * regenerates `lanes` rows side by side, one per SIMD lane, and every
+ * stamp's floats are bit-identical to the scalar generator's (see
+ * docs/feature_gather.md).
+ */
+struct RowStamp
+{
+    const char *isa; ///< "base", "avx2" or "avx512".
+    int lanes;       ///< Rows per call; base is the scalar generator.
+    bool supported;  ///< This CPU runs it.
+    /**
+     * Generate the rows of nodes[0, lanes) into @p out (row stride
+     * @p dim), row l adding the centroid row @p centroids[l].
+     */
+    void (*generate)(uint64_t seed, int dim, const NodeId *nodes,
+                     const float *const *centroids, float *out);
+};
+
+/** Every row stamp this build carries, base first, widest last. */
+std::span<const RowStamp> row_stamps();
+
+/**
+ * The stamp FeatureStore::gather_rows regenerates rows with: the one
+ * FASTGL_KERNEL_ISA forces (util::forced_isa), else the fastest
+ * supported stamp, raced once on a few rows at first use. CPUID
+ * advertising a wide ISA does not make it fast on every host.
+ */
+const RowStamp &selected_row_stamp();
+
 /** Dense row-major [num_nodes x dim] float feature matrix plus labels. */
 class FeatureStore
 {
@@ -49,6 +79,22 @@ class FeatureStore
 
     /** Copy the feature row of node @p u into @p out (size dim()). */
     void gather_row(NodeId u, float *out) const;
+
+    /**
+     * Copy the feature rows of @p nodes into @p out ([nodes.size() x
+     * dim()], row-major, in list order), bit-identical to a gather_row
+     * loop. The IDs are checked in one pass up front
+     * (validate_nodes). On-demand rows are regenerated
+     * selected_row_stamp().lanes at a time, the ragged tail one by one.
+     */
+    void gather_rows(std::span<const NodeId> nodes, float *out) const;
+
+    /**
+     * gather_rows through @p stamp, which this CPU must support; lets
+     * a test run every stamp against gather_row.
+     */
+    void gather_rows(std::span<const NodeId> nodes, float *out,
+                     const RowStamp &stamp) const;
 
     /**
      * Check every node ID in @p nodes against [0, num_nodes()) in one
@@ -100,8 +146,15 @@ class FeatureStore
     /** Label of @p u as a pure function of (seed, node). */
     int virtual_label(NodeId u) const;
 
+    /** Class centroid row of node @p u, whose label is known. */
+    const float *centroid_of(NodeId u) const;
+
     /** Generate the feature row of @p u (centroid + node noise). */
     void generate_row(NodeId u, float *out) const;
+
+    /** Generate the rows of @p nodes into @p out through @p stamp. */
+    void generate_rows(std::span<const NodeId> nodes, float *out,
+                       const RowStamp &stamp) const;
 
     NodeId num_nodes_ = 0;
     int dim_ = 0;

@@ -216,9 +216,10 @@ GatherEngine::gather(const graph::FeatureStore &store,
                 copy_row_simd(store.row_ptr_unvalidated(ids[i]),
                               dst + static_cast<int64_t>(i) * dim, dim);
         } else {
-            for (size_t i = begin; i < end; ++i)
-                store.gather_row_unvalidated(
-                    ids[i], dst + static_cast<int64_t>(i) * dim);
+            // On-demand rows are regenerated in SIMD lanes, a shard at
+            // a time.
+            store.gather_rows(nodes.subspan(begin, end - begin),
+                              dst + static_cast<int64_t>(begin) * dim);
         }
     };
 

@@ -16,6 +16,9 @@
  *     into an output panel (same explicit-vector idiom as
  *     compute/kernel_impl.inc; a row copy moves the identical bytes, so
  *     the fast path is trivially bit-identical to the per-row loop);
+ *     an on-demand store instead regenerates each shard's rows through
+ *     FeatureStore::gather_rows, several rows at a time in SIMD lanes,
+ *     bit-identical to the scalar generator;
  *   - row-sharding over util::ThreadPool — shards are disjoint row
  *     ranges of the panel, so output is **bit-identical at any thread
  *     count** (the KernelEngine contract);

@@ -75,8 +75,7 @@ relayout_features(const graph::FeatureStore &features,
     const size_t dim = static_cast<size_t>(features.dim());
     std::vector<float> out(static_cast<size_t>(features.num_nodes()) *
                            dim);
-    for (size_t s = 0; s < layout.node_at.size(); ++s)
-        features.gather_row(layout.node_at[s], out.data() + s * dim);
+    features.gather_rows(layout.node_at, out.data());
     return out;
 }
 

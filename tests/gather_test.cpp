@@ -14,8 +14,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <numeric>
 #include <span>
+#include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -25,6 +29,7 @@
 #include "match/gather_engine.h"
 #include "sample/frequency_hashmap.h"
 #include "util/fnv.h"
+#include "util/isa.h"
 #include "util/rng.h"
 
 namespace fastgl {
@@ -306,6 +311,66 @@ TEST(FeatureStore, OnDemandRowsArePinned)
         h = util::fnv(h, fnv_bytes(row.data(), row.size_bytes()));
     }
     EXPECT_EQ(h, 0xA7EC2E658CCC2ABBULL);
+}
+
+TEST(FeatureStore, EveryRowStampMatchesGatherRow)
+{
+    // Each stamp this CPU runs, called directly: FASTGL_KERNEL_ISA can
+    // force base or avx2 only, so this is where avx512 is tested.
+    util::Rng rng(0x57A3B);
+    for (const int dim : {1, 7, 200, 257}) {
+        const FeatureStore store(3000, dim, 47, 0xAB + dim,
+                                 /*materialize=*/false);
+        std::vector<std::vector<NodeId>> lists;
+        for (size_t len = 0; len <= 17; ++len) {
+            lists.emplace_back(len);
+            for (NodeId &u : lists.back())
+                u = static_cast<NodeId>(rng.next_below(3000));
+        }
+        lists.emplace_back(1000);
+        for (NodeId &u : lists.back())
+            u = static_cast<NodeId>(rng.next_below(3000));
+        for (const std::vector<NodeId> &nodes : lists) {
+            const std::vector<float> want = legacy_gather(store, nodes);
+            for (const graph::RowStamp &stamp : graph::row_stamps()) {
+                if (!stamp.supported)
+                    continue;
+                std::vector<float> got(want.size());
+                store.gather_rows(nodes, got.data(), stamp);
+                ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                      want.size() * sizeof(float)),
+                          0)
+                    << stamp.isa << " dim=" << dim
+                    << " rows=" << nodes.size();
+            }
+        }
+    }
+    std::string skipped;
+    for (const graph::RowStamp &stamp : graph::row_stamps())
+        if (!stamp.supported)
+            skipped += std::string(skipped.empty() ? "" : " ") + stamp.isa;
+    if (!skipped.empty()) {
+        RecordProperty("skipped_row_stamps", skipped);
+        std::printf("row stamps this CPU cannot run, skipped: %s\n",
+                    skipped.c_str());
+    }
+}
+
+TEST(FeatureStore, ForcedIsaSelectsItsRowStamp)
+{
+    const graph::RowStamp &selected = graph::selected_row_stamp();
+    EXPECT_TRUE(selected.supported);
+    const std::string_view isa = selected.isa;
+    switch (util::forced_isa()) {
+      case util::ForcedIsa::kBase:
+        EXPECT_EQ(isa, "base");
+        break;
+      case util::ForcedIsa::kAvx2:
+        EXPECT_EQ(isa, "avx2");
+        break;
+      case util::ForcedIsa::kNone:
+        break;
+    }
 }
 
 // ------------------------------------------- hoisted bounds validation
