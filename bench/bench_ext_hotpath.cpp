@@ -5,8 +5,8 @@
  * row times the merge-only kernel next to the adaptive one and checks
  * that both count the same. The matrix at every pool width and both
  * samplers' output are FNV-hashed and checked against goldens pinned
- * from the pre-overhaul implementations' output on the same inputs;
- * divergence is fatal (exit 1).
+ * from the pre-overhaul implementations' output on the same inputs.
+ * A count mismatch or a digest divergence is fatal (exit 1).
  *
  * Output is a single JSON object on stdout so CI can archive it
  * (tools/ci.sh writes BENCH_hotpath.json). Pass --smoke for a
@@ -110,7 +110,7 @@ struct IntersectionRow
     uint64_t universe;
     double merge_s = 0.0;
     double adaptive_s = 0.0;
-    int64_t checksum = 0;
+    bool counts_match = true;
 };
 
 void
@@ -118,10 +118,10 @@ bench_intersections(bool smoke, std::vector<IntersectionRow> &rows)
 {
     const int reps = smoke ? 20 : 400;
     rows = {
-        {"balanced", 4000, 4000, 20000, 0, 0, 0},
-        {"skew_16x", 250, 4000, 20000, 0, 0, 0},
-        {"skew_128x", 64, 8192, 40000, 0, 0, 0},
-        {"tiny_vs_huge", 8, 32768, 120000, 0, 0, 0},
+        {"balanced", 4000, 4000, 20000},
+        {"skew_16x", 250, 4000, 20000},
+        {"skew_128x", 64, 8192, 40000},
+        {"tiny_vs_huge", 8, 32768, 120000},
     };
     util::Rng rng(42);
     for (IntersectionRow &row : rows) {
@@ -137,7 +137,17 @@ bench_intersections(bool smoke, std::vector<IntersectionRow> &rows)
         for (int r = 0; r < reps; ++r)
             sink2 += match::intersect_sorted(a, b);
         row.adaptive_s = seconds_since(t0);
-        row.checksum = sink - sink2; // must be zero: same counts
+        // Both kernels must count the same; a mismatch is fatal, like
+        // a digest that leaves its golden.
+        row.counts_match = sink == sink2;
+        if (!row.counts_match) {
+            std::fprintf(stderr,
+                         "FATAL: %s intersection counts %lld (merge), "
+                         "%lld (adaptive)\n",
+                         row.name, static_cast<long long>(sink),
+                         static_cast<long long>(sink2));
+            g_diverged = true;
+        }
     }
 }
 
@@ -253,7 +263,7 @@ main(int argc, char **argv)
                     "\"size_b\": %zu, \"merge_s\": %.6f, "
                     "\"adaptive_s\": %.6f, \"counts_match\": %s}%s\n",
                     r.name, r.size_a, r.size_b, r.merge_s, r.adaptive_s,
-                    r.checksum == 0 ? "true" : "false",
+                    r.counts_match ? "true" : "false",
                     i + 1 < inter_rows.size() ? "," : "");
     }
     std::printf("  ],\n");
