@@ -80,8 +80,6 @@ class DynamicBatcher
     /** Close the batch: hand over its members (admission order). */
     std::vector<PendingRequest> take();
 
-    const BatcherPolicy &policy() const { return policy_; }
-
   private:
     BatcherPolicy policy_;
     std::vector<PendingRequest> pending_;
