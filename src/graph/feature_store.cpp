@@ -259,7 +259,14 @@ void
 FeatureStore::gather_row(NodeId u, float *out) const
 {
     FASTGL_CHECK(u >= 0 && u < num_nodes_, "node out of range");
-    gather_row_unvalidated(u, out);
+    if (materialized_) {
+        const float *src = row_ptr_unvalidated(u);
+        std::copy(src, src + dim_, out);
+    } else {
+        // Regenerate deterministically: the row is a pure function of
+        // (seed, node). Slower, but memory free.
+        generate_row(u, out);
+    }
 }
 
 void
@@ -280,19 +287,6 @@ FeatureStore::gather_rows(std::span<const NodeId> nodes, float *out,
     for (size_t r = 0; r < nodes.size(); ++r) {
         const float *src = row_ptr_unvalidated(nodes[r]);
         std::copy(src, src + dim_, out + r * static_cast<size_t>(dim_));
-    }
-}
-
-void
-FeatureStore::gather_row_unvalidated(NodeId u, float *out) const
-{
-    if (materialized_) {
-        const float *src = row_ptr_unvalidated(u);
-        std::copy(src, src + dim_, out);
-    } else {
-        // Regenerate deterministically: the row is a pure function of
-        // (seed, node). Slower, but memory free.
-        generate_row(u, out);
     }
 }
 

@@ -99,24 +99,18 @@ class FeatureStore
     /**
      * Check every node ID in @p nodes against [0, num_nodes()) in one
      * structural pass, panicking (FASTGL_CHECK) on the first violation.
-     * Batched gathers (match::GatherEngine) run this once up front and
-     * then use the unvalidated row accessors, hoisting the bounds check
+     * Batched gathers (gather_rows, match::GatherEngine) run this once
+     * up front and then read rows unchecked, hoisting the bounds check
      * out of the per-row inner loop — the same pattern as
      * sample::LayerBlock::validate().
      */
     void validate_nodes(std::span<const NodeId> nodes) const;
 
     /**
-     * gather_row without the per-row bounds check. The caller must have
-     * validated @p u (validate_nodes) — an out-of-range ID reads past
-     * the matrix.
-     */
-    void gather_row_unvalidated(NodeId u, float *out) const;
-
-    /**
      * Raw row pointer without the bounds check; materialised stores
-     * only. Same validation contract as gather_row_unvalidated. The
-     * SIMD fast path of match::GatherEngine copies straight from here.
+     * only. The caller must have validated @p u (validate_nodes) — an
+     * out-of-range ID reads past the matrix. The SIMD fast path of
+     * match::GatherEngine copies straight from here.
      */
     const float *
     row_ptr_unvalidated(NodeId u) const
