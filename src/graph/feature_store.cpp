@@ -178,18 +178,17 @@ FeatureStore::FeatureStore(NodeId num_nodes, int dim, int num_classes,
         labels_.resize(static_cast<size_t>(num_nodes));
         for (NodeId u = 0; u < num_nodes; ++u)
             labels_[static_cast<size_t>(u)] = virtual_label(u);
-        // Rows in ID order, a chunk of IDs at a time, through the lanes.
+        // Rows in ID order through the lanes, a chunk of IDs at a time
+        // so the ID list stays small next to the matrix.
         data_.resize(static_cast<size_t>(num_nodes) * dim);
         const RowStamp &stamp = selected_row_stamp();
-        std::vector<NodeId> ids(
-            static_cast<size_t>(std::min<NodeId>(num_nodes, 1024)));
-        for (NodeId first = 0; first < num_nodes;
-             first += static_cast<NodeId>(ids.size())) {
-            const size_t count = static_cast<size_t>(std::min<NodeId>(
-                static_cast<NodeId>(ids.size()), num_nodes - first));
-            std::iota(ids.begin(), ids.begin() + count, first);
-            generate_rows({ids.data(), count},
-                          data_.data() + static_cast<size_t>(first) * dim,
+        constexpr NodeId kChunk = 1024;
+        std::vector<NodeId> ids;
+        for (NodeId first = 0; first < num_nodes; first += kChunk) {
+            ids.resize(
+                static_cast<size_t>(std::min(kChunk, num_nodes - first)));
+            std::iota(ids.begin(), ids.end(), first);
+            generate_rows(ids, data_.data() + static_cast<size_t>(first) * dim,
                           stamp);
         }
     }

@@ -337,9 +337,9 @@ TEST(FeatureStore, EveryRowStampMatchesGatherRow)
                     continue;
                 std::vector<float> got(want.size());
                 store.gather_rows(nodes, got.data(), stamp);
-                ASSERT_EQ(std::memcmp(got.data(), want.data(),
-                                      want.size() * sizeof(float)),
-                          0)
+                ASSERT_TRUE(want.empty() ||
+                            std::memcmp(got.data(), want.data(),
+                                        want.size() * sizeof(float)) == 0)
                     << stamp.isa << " dim=" << dim
                     << " rows=" << nodes.size();
             }
