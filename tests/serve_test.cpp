@@ -86,6 +86,7 @@ make_closed_script(const serve::Server &server, int clients,
 constexpr uint64_t kGoldenOpenLoop = 0x3D9E169AABFB5D9CULL;
 constexpr uint64_t kGoldenClosedLoop = 0xB9F46D67B63D3C70ULL;
 constexpr uint64_t kGoldenLogits = 0xC7A919FD919677B5ULL;
+constexpr uint64_t kGoldenLogitsLargeBatch = 0xBFDD745FDEDB9CA5ULL;
 constexpr uint64_t kGoldenScaledClosedLoop = 0xA1DCA48FD71D930CULL;
 constexpr uint64_t kGoldenScaledClosedProfile = 0x5D1CB2E2085B3705ULL;
 
@@ -1024,6 +1025,37 @@ TEST(ServeGolden, RealForwardFingerprintIsPinnedAtAnyWidth)
         serve::Server server(products(), opts);
         server.serve(make_trace(server, 2000.0, 64));
         EXPECT_EQ(server.last_stats().fingerprint, kGoldenLogits)
+            << "workers=" << workers;
+    }
+}
+
+/** perfbench's serve-logits server shape with real forwards: batches
+ *  of up to 32 requests, 2 ms wait, 64 pending, auto embedding cache. */
+serve::ServerOptions
+large_batch_logits_options(int workers)
+{
+    auto opts = base_server_options();
+    opts.worker_threads = workers;
+    opts.batcher.max_batch = 32;
+    opts.batcher.max_wait = 2e-3;
+    opts.admission.max_pending = 64;
+    opts.embedding.capacity_rows = -1;
+    opts.compute_logits = true;
+    return opts;
+}
+
+TEST(ServeGolden, RealForwardLargeBatchFingerprintIsPinned)
+{
+    // The 2k rps trace above forms batches of about 4 requests; at 20k
+    // rps they fill towards max_batch, so the members of one batch
+    // share many feature rows.
+    for (int workers : {1, 4}) {
+        serve::Server server(products(),
+                             large_batch_logits_options(workers));
+        server.serve(make_trace(server, 20000.0, 256, 20e-3));
+        const serve::ServingStats &st = server.last_stats();
+        EXPECT_GE(st.mean_batch_size, 8.0) << "workers=" << workers;
+        EXPECT_EQ(st.fingerprint, kGoldenLogitsLargeBatch)
             << "workers=" << workers;
     }
 }
