@@ -198,28 +198,77 @@ FeaturePanel
 GatherEngine::gather(const graph::FeatureStore &store,
                      std::span<const graph::NodeId> nodes)
 {
+    return gather(store, nodes, FeaturePanel{}, {});
+}
+
+FeaturePanel
+GatherEngine::gather(const graph::FeatureStore &store,
+                     std::span<const graph::NodeId> nodes,
+                     const FeaturePanel &shared,
+                     std::span<const int64_t> shared_rows)
+{
     const auto t0 = std::chrono::steady_clock::now();
 
     // Hoisted structural pass: one bounds sweep here buys unvalidated
     // row access in the sharded inner loops below.
     store.validate_nodes(nodes);
+    const bool any_shared = !shared_rows.empty();
+    if (any_shared) {
+        FASTGL_CHECK(shared_rows.size() == nodes.size(),
+                     "one shared-row index per gathered node");
+        const int64_t top =
+            *std::max_element(shared_rows.begin(), shared_rows.end());
+        FASTGL_CHECK(top < shared.rows() &&
+                         (top < 0 || shared.dim() == store.dim()),
+                     "shared row outside the shared panel");
+    }
 
     const int64_t rows = static_cast<int64_t>(nodes.size());
     const int64_t dim = store.dim();
     FeaturePanel panel = acquire_panel(rows, dim);
+    if (any_shared && !store.materialized())
+        own_ids_.resize(nodes.size());
 
     float *dst = panel.data();
     const graph::NodeId *ids = nodes.data();
+    auto shared_row = [&](size_t i) {
+        return shared.data() + shared_rows[i] * dim;
+    };
     auto run_shard = [&](size_t begin, size_t end) {
         if (store.materialized()) {
             for (size_t i = begin; i < end; ++i)
-                copy_row_simd(store.row_ptr_unvalidated(ids[i]),
+                copy_row_simd(any_shared && shared_rows[i] >= 0
+                                  ? shared_row(i)
+                                  : store.row_ptr_unvalidated(ids[i]),
                               dst + static_cast<int64_t>(i) * dim, dim);
-        } else {
+        } else if (!any_shared) {
             // On-demand rows are regenerated in SIMD lanes, a shard at
             // a time.
             store.gather_rows(nodes.subspan(begin, end - begin),
                               dst + static_cast<int64_t>(begin) * dim);
+        } else {
+            // Regenerate the rows no shared panel holds packed at the
+            // front of the shard, then place every row, last first.
+            // The k-th regenerated row moves to a row i >= k, and every
+            // packed row still to move lies below i, so a move or a
+            // shared copy never overwrites a row still to be read.
+            size_t own = begin;
+            for (size_t i = begin; i < end; ++i) {
+                if (shared_rows[i] < 0)
+                    own_ids_[own++] = ids[i];
+            }
+            store.gather_rows(
+                std::span<const graph::NodeId>(own_ids_).subspan(
+                    begin, own - begin),
+                dst + static_cast<int64_t>(begin) * dim);
+            for (size_t i = end; i-- > begin;) {
+                float *row = dst + static_cast<int64_t>(i) * dim;
+                if (shared_rows[i] >= 0)
+                    copy_row_simd(shared_row(i), row, dim);
+                else if (--own != i)
+                    copy_row_simd(dst + static_cast<int64_t>(own) * dim,
+                                  row, dim);
+            }
         }
     };
 

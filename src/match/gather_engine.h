@@ -22,6 +22,9 @@
  *   - row-sharding over util::ThreadPool — shards are disjoint row
  *     ranges of the panel, so output is **bit-identical at any thread
  *     count** (the KernelEngine contract);
+ *   - a second entry that copies some rows from a panel gathered
+ *     earlier instead of regenerating them — the server's batches
+ *     regenerate each row their members share once;
  *   - FeaturePanel outputs leased from a pool of buffers, one buffer
  *     per panel: steady-state gathers never touch the heap, and panels
  *     are *handed off* through queues / wrapped as
@@ -40,6 +43,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "graph/feature_store.h"
 
@@ -170,6 +174,22 @@ class GatherEngine
     FeaturePanel gather(const graph::FeatureStore &store,
                         std::span<const graph::NodeId> nodes);
 
+    /**
+     * gather() with some rows copied from a panel gathered earlier:
+     * row i is @p shared's row @p shared_rows[i] when that is >= 0,
+     * else node i's row from @p store. On an on-demand store the other
+     * rows are regenerated packed together, so the SIMD lanes stay
+     * full, then moved into place. Each shared row must hold its
+     * node's row, as gather() wrote it; the panel is then
+     * bit-identical to gather(store, nodes) at any thread count.
+     * Panics when a node ID or a shared row is out of range, the two
+     * lists differ in length, or the dims differ.
+     */
+    FeaturePanel gather(const graph::FeatureStore &store,
+                        std::span<const graph::NodeId> nodes,
+                        const FeaturePanel &shared,
+                        std::span<const int64_t> shared_rows);
+
     const GatherStats &stats() const { return stats_; }
     void reset_stats() { stats_ = GatherStats{}; }
 
@@ -191,6 +211,9 @@ class GatherEngine
     std::unique_ptr<util::ThreadPool> pool_; ///< Null = sequential.
     std::shared_ptr<PanelPool> panels_;      ///< Kept alive by leases too.
     GatherStats stats_;
+    /** Shared-row gathers: the IDs of the rows each shard regenerates,
+     *  packed at the front of the shard's range. */
+    std::vector<graph::NodeId> own_ids_;
 };
 
 } // namespace match

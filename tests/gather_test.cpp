@@ -119,6 +119,70 @@ TEST(GatherEngine, PanelReuseAcrossBatchesStaysIdentical)
     }
 }
 
+TEST(GatherEngine, SharedRowsGatherWritesWhatGatherWrites)
+{
+    // None, some or all rows taken from a shared panel, which holds
+    // them in another order: every byte must be the one gather()
+    // writes, on materialised and on-demand stores, at widths 1 and 4.
+    util::Rng rng(0x5A4ED);
+    for (const int dim : {1, 7, 200, 257}) {
+        for (const bool materialize : {false, true}) {
+            const FeatureStore store(3000, dim, 47, 0xC0 + dim,
+                                     materialize);
+            std::vector<std::vector<NodeId>> lists;
+            for (size_t len = 0; len <= 17; ++len) {
+                lists.emplace_back(len);
+                for (NodeId &u : lists.back())
+                    u = static_cast<NodeId>(rng.next_below(3000));
+            }
+            lists.emplace_back(1000);
+            for (NodeId &u : lists.back())
+                u = static_cast<NodeId>(rng.next_below(3000));
+            for (const int threads : {1, 4}) {
+                GatherEngine engine(threads);
+                for (const std::vector<NodeId> &nodes : lists) {
+                    const FeaturePanel want = engine.gather(store, nodes);
+                    for (const char *share : {"none", "some", "all"}) {
+                        const std::string_view mode = share;
+                        std::vector<NodeId> shared_nodes;
+                        std::vector<int64_t> rows(nodes.size(), -1);
+                        for (size_t i = 0; i < nodes.size(); ++i) {
+                            if (mode == "all" ||
+                                (mode == "some" && rng.next_below(2))) {
+                                rows[i] =
+                                    static_cast<int64_t>(shared_nodes.size());
+                                shared_nodes.push_back(nodes[i]);
+                            }
+                        }
+                        std::reverse(shared_nodes.begin(),
+                                     shared_nodes.end());
+                        for (int64_t &r : rows) {
+                            if (r >= 0)
+                                r = static_cast<int64_t>(
+                                        shared_nodes.size()) -
+                                    1 - r;
+                        }
+                        const FeaturePanel shared =
+                            engine.gather(store, shared_nodes);
+                        const FeaturePanel got =
+                            engine.gather(store, nodes, shared, rows);
+                        ASSERT_EQ(got.rows(), want.rows());
+                        ASSERT_EQ(got.dim(), want.dim());
+                        ASSERT_TRUE(want.empty() ||
+                                    std::memcmp(got.data(), want.data(),
+                                                want.bytes()) == 0)
+                            << "dim=" << dim
+                            << " materialized=" << materialize
+                            << " threads=" << threads
+                            << " rows=" << nodes.size()
+                            << " share=" << share;
+                    }
+                }
+            }
+        }
+    }
+}
+
 /** @p rows node IDs cycling through a store of @p n nodes. */
 std::vector<NodeId>
 cycling_nodes(int64_t rows, NodeId n)
@@ -401,6 +465,25 @@ TEST(GatherDeathTest, EngineGatherPanicsOnOutOfRangeNode)
     GatherEngine parallel(4);
     EXPECT_DEATH(parallel.gather(store, bad),
                  "gather node ID outside the feature matrix");
+}
+
+TEST(GatherDeathTest, SharedRowsGatherPanicsOnABadSharedRow)
+{
+    FeatureStore store(50, 8, 2, 3, false);
+    GatherEngine engine;
+    const std::vector<NodeId> nodes = {1, 2, 3};
+    const std::vector<NodeId> two = {4, 5};
+    const FeaturePanel shared = engine.gather(store, two);
+    const std::vector<int64_t> past_end = {0, -1, 2};
+    EXPECT_DEATH(engine.gather(store, nodes, shared, past_end),
+                 "shared row outside the shared panel");
+    const std::vector<int64_t> too_short = {0, 1};
+    EXPECT_DEATH(engine.gather(store, nodes, shared, too_short),
+                 "one shared-row index per gathered node");
+    FeatureStore wider(50, 9, 2, 3, false);
+    const std::vector<int64_t> fine = {0, -1, 1};
+    EXPECT_DEATH(engine.gather(wider, nodes, shared, fine),
+                 "shared row outside the shared panel");
 }
 
 TEST(GatherDeathTest, GatherRowKeepsItsPerRowCheck)
