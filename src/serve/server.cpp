@@ -149,9 +149,8 @@ Server::Server(const graph::Dataset &dataset, ServerOptions opts,
     if (opts_.compute_logits) {
         engine_ = std::make_unique<compute::KernelEngine>(
             opts_.compute_threads);
-        // Sequential width: batch gathers here are request sized, and
-        // the sequencer thread must not contend with the pipeline's
-        // worker threads. Width never affects bits anyway.
+        // Sequential width: the sequencer thread must not contend with
+        // the sampler workers for cores. Width never affects bits.
         gather_engine_ = std::make_unique<match::GatherEngine>(1);
         for (Tier &tier : tiers_) {
             tier.model =
@@ -250,6 +249,8 @@ struct Server::Engine
         double busy = 0.0;
         double compute_wall = 0.0;   ///< Measured real-forward seconds.
         int64_t compute_batches = 0; ///< Batches with a real forward.
+        int64_t rows_regenerated = 0; ///< ServingStats::rows_regenerated.
+        int64_t rows_copied = 0;      ///< ServingStats::rows_copied.
         int64_t batch_members = 0;
         size_t processed = 0;
         std::deque<double> inflight; ///< Completion times, monotone.
@@ -280,6 +281,12 @@ struct Server::Engine
      *  when refused) — the client's think timer starts there. */
     std::function<void(int64_t id, double at)> decided;
     int closed_clients = 0; ///< ServingStats::closed_loop_clients.
+
+    // Real-forward gather scratch (gather_shared_rows), reused across
+    // dispatches.
+    std::vector<int64_t> slot_of;       ///< Per batch-union local ID.
+    std::vector<int64_t> shared_row_of; ///< Per member row, in order.
+    std::vector<graph::NodeId> shared_nodes; ///< Shared panel's rows.
 
     Engine(Server &server, std::vector<InferenceResponse> &resp)
         : s(server),
@@ -498,12 +505,17 @@ struct Server::Engine
         // they add) are bit-identical across runs and thread counts.
         if (s.tiers_[m].model) {
             const Clock::time_point c0 = Clock::now();
+            const match::FeaturePanel shared = gather_shared_rows(batch);
+            const int64_t *member_rows = shared_row_of.data();
             for (const PendingRequest &pr : batch) {
                 const sample::SampledSubgraph &sg = pr.subgraph;
                 // Batched gather into a leased panel, forwarded as a
                 // zero-copy view — no per-request tensor allocation.
+                const std::span<const int64_t> rows(member_rows,
+                                                    sg.nodes.size());
+                member_rows += sg.nodes.size();
                 match::FeaturePanel panel = s.gather_engine_->gather(
-                    s.dataset_.features, sg.nodes);
+                    s.dataset_.features, sg.nodes, shared, rows);
                 const compute::Tensor x = compute::Tensor::view(
                     panel.data(), panel.rows(), panel.dim());
                 const compute::Tensor logits =
@@ -527,6 +539,53 @@ struct Server::Engine
             vs.compute_wall += seconds_since(c0);
             ++vs.compute_batches;
         }
+    }
+
+    /**
+     * Gather, once, every feature row two or more members of @p batch
+     * use, and leave in shared_row_of, member after member, each
+     * member row's row in the returned panel (-1 when that member
+     * alone uses it). table_ still maps the batch union to local IDs:
+     * cost_batch filled it and has read its probe count, so these
+     * lookups move no modelled number.
+     */
+    match::FeaturePanel
+    gather_shared_rows(const std::vector<PendingRequest> &batch)
+    {
+        // Per local ID: kUnseen, kOnce, then its shared-panel row.
+        constexpr int64_t kUnseen = -2, kOnce = -1;
+        slot_of.assign(static_cast<size_t>(s.table_.size()), kUnseen);
+        shared_row_of.clear();
+        shared_nodes.clear();
+        for (const PendingRequest &pr : batch) {
+            for (graph::NodeId node : pr.subgraph.nodes) {
+                const graph::NodeId local = s.table_.lookup(node);
+                shared_row_of.push_back(local);
+                int64_t &slot = slot_of[static_cast<size_t>(local)];
+                if (slot == kUnseen) {
+                    slot = kOnce;
+                } else if (slot == kOnce) {
+                    slot = static_cast<int64_t>(shared_nodes.size());
+                    shared_nodes.push_back(node);
+                }
+            }
+        }
+        int64_t own = 0;
+        for (int64_t &row : shared_row_of) {
+            row = slot_of[static_cast<size_t>(row)];
+            own += row < 0;
+        }
+        // Every row of the union is regenerated once: a shared row
+        // into the shared panel, any other into its member's panel.
+        // Each further use of a shared row is a copy instead.
+        const int64_t regenerated =
+            own + static_cast<int64_t>(shared_nodes.size());
+        vs.rows_regenerated += regenerated;
+        vs.rows_copied +=
+            static_cast<int64_t>(shared_row_of.size()) - regenerated;
+        if (shared_nodes.empty())
+            return {};
+        return s.gather_engine_->gather(s.dataset_.features, shared_nodes);
     }
 
     // Wait-triggered batch closes up to virtual time @p now. When
@@ -826,6 +885,8 @@ struct Server::Engine
         st.fingerprint = vs.fingerprint;
         st.compute_seconds = vs.compute_wall;
         st.compute_batches = vs.compute_batches;
+        st.rows_regenerated = vs.rows_regenerated;
+        st.rows_copied = vs.rows_copied;
         if (s.engine_)
             st.compute_gflops = s.engine_->stats().gemm_gflops();
         st.modelled_samplers = s.opts_.modelled_samplers;

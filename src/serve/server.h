@@ -346,12 +346,27 @@ struct ServingStats
 
     // --- Measured host-side (vary run to run; never fed back) ---
     double wall_seconds = 0.0;
-    /** Host seconds spent in real forward passes (compute_logits on). */
+    /** Host seconds spent in real forward passes (compute_logits on),
+     *  their feature gathers included. */
     double compute_seconds = 0.0;
     /** Measured host GEMM throughput of those forwards (GFLOP/s). */
     double compute_gflops = 0.0;
     /** Batches that ran a real forward pass. */
     int64_t compute_batches = 0;
+    /**
+     * Feature rows those forwards' gathers regenerated (on a
+     * materialised store: copied from the matrix). A row two or more
+     * members of a batch use is regenerated once into a shared panel,
+     * any other row once for its member, so this is the sum of the
+     * batch unions.
+     */
+    int64_t rows_regenerated = 0;
+    /**
+     * Member rows copied from a shared panel in place of a
+     * regeneration: each use of a shared row but one. rows_regenerated
+     * + rows_copied is the forwards' total member rows.
+     */
+    int64_t rows_copied = 0;
     /** Host seconds per ego-net sample, merged from per-thread stats. */
     util::SampleStat worker_sample_seconds;
     util::QueueStats work_queue;

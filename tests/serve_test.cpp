@@ -11,17 +11,20 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "graph/datasets.h"
+#include "sample/neighbor_sampler.h"
 #include "serve/batcher.h"
 #include "serve/embedding_cache.h"
 #include "serve/load_generator.h"
 #include "serve/scheduler.h"
 #include "serve/server.h"
 #include "util/fnv.h"
+#include "util/rng.h"
 
 namespace fastgl {
 namespace {
@@ -404,6 +407,74 @@ TEST(Serve, RealForwardPredictionsBitIdenticalAcrossThreadCounts)
     ASSERT_EQ(responses.size(), reference.size());
     for (size_t i = 0; i < responses.size(); ++i)
         EXPECT_EQ(responses[i].predicted, reference[i].predicted);
+}
+
+/** perfbench's serve-logits server shape with real forwards: batches
+ *  of up to 32 requests, 2 ms wait, 64 pending, auto embedding cache. */
+serve::ServerOptions
+large_batch_logits_options(int workers)
+{
+    auto opts = base_server_options();
+    opts.worker_threads = workers;
+    opts.batcher.max_batch = 32;
+    opts.batcher.max_wait = 2e-3;
+    opts.admission.max_pending = 64;
+    opts.embedding.capacity_rows = -1;
+    opts.compute_logits = true;
+    return opts;
+}
+
+TEST(Serve, RealForwardRegeneratesEachBatchUnionOnce)
+{
+    // Each dispatched batch regenerates every row of its members'
+    // union once and copies the rest, so the counts follow from the
+    // ego-nets alone: resample each batched request from the server's
+    // per-request stream and group the ego-nets by batch.
+    constexpr uint64_t kServeSampleStream = 0x5E31;
+    for (const int max_batch : {32, 1}) {
+        auto opts = large_batch_logits_options(2);
+        opts.batcher.max_batch = max_batch;
+        serve::Server server(products(), opts);
+        const auto trace = make_trace(server, 20000.0, 128, 20e-3);
+        const auto responses = server.serve(trace);
+        const serve::ServingStats st = server.last_stats();
+
+        sample::NeighborSamplerOptions nopts;
+        nopts.fanouts = opts.fanouts;
+        nopts.seed = opts.seed + 101;
+        sample::NeighborSampler sampler(products().graph, nopts);
+        std::map<int64_t, std::set<graph::NodeId>> unions;
+        int64_t member_rows = 0;
+        for (size_t i = 0; i < trace.size(); ++i) {
+            if (responses[i].batch_id < 0)
+                continue;
+            const sample::SampledSubgraph sg = sampler.sample(
+                trace[i].targets,
+                util::derive_seed(opts.seed, kServeSampleStream,
+                                  static_cast<uint64_t>(trace[i].id)));
+            member_rows += static_cast<int64_t>(sg.nodes.size());
+            unions[responses[i].batch_id].insert(sg.nodes.begin(),
+                                                 sg.nodes.end());
+        }
+        int64_t union_rows = 0;
+        for (const auto &batch : unions)
+            union_rows += static_cast<int64_t>(batch.second.size());
+
+        ASSERT_GT(member_rows, 0);
+        EXPECT_EQ(st.rows_regenerated, union_rows)
+            << "max_batch=" << max_batch;
+        EXPECT_EQ(st.rows_regenerated + st.rows_copied, member_rows)
+            << "max_batch=" << max_batch;
+        if (max_batch == 1)
+            EXPECT_EQ(st.rows_copied, 0);
+        else
+            EXPECT_GT(st.rows_copied, st.rows_regenerated);
+
+        // The counts repeat exactly on a second call.
+        server.serve(trace);
+        EXPECT_EQ(server.last_stats().rows_regenerated, st.rows_regenerated);
+        EXPECT_EQ(server.last_stats().rows_copied, st.rows_copied);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1027,21 +1098,6 @@ TEST(ServeGolden, RealForwardFingerprintIsPinnedAtAnyWidth)
         EXPECT_EQ(server.last_stats().fingerprint, kGoldenLogits)
             << "workers=" << workers;
     }
-}
-
-/** perfbench's serve-logits server shape with real forwards: batches
- *  of up to 32 requests, 2 ms wait, 64 pending, auto embedding cache. */
-serve::ServerOptions
-large_batch_logits_options(int workers)
-{
-    auto opts = base_server_options();
-    opts.worker_threads = workers;
-    opts.batcher.max_batch = 32;
-    opts.batcher.max_wait = 2e-3;
-    opts.admission.max_pending = 64;
-    opts.embedding.capacity_rows = -1;
-    opts.compute_logits = true;
-    return opts;
 }
 
 TEST(ServeGolden, RealForwardLargeBatchFingerprintIsPinned)

@@ -849,10 +849,13 @@ run_serve(const Args &args)
     }
     if (sopts.compute_logits)
         std::printf("  compute: %lld real forwards in %s host "
-                    "(%.1f GFLOP/s gemm)\n",
+                    "(%.1f GFLOP/s gemm), %lld rows regenerated, "
+                    "%lld copied\n",
                     static_cast<long long>(st.compute_batches),
                     util::human_seconds(st.compute_seconds).c_str(),
-                    st.compute_gflops);
+                    st.compute_gflops,
+                    static_cast<long long>(st.rows_regenerated),
+                    static_cast<long long>(st.rows_copied));
     if (st.modelled_samplers > 0 && !st.autoscale.enabled)
         std::printf("  sampler pool: %d modelled worker(s)\n",
                     st.modelled_samplers);
