@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <deque>
 #include <exception>
 #include <limits>
@@ -71,9 +72,11 @@ Server::Server(const graph::Dataset &dataset, ServerOptions opts,
       table_(1024)
 {
     FASTGL_CHECK(!opts_.fanouts.empty(), "Server needs >= 1 fanout");
-    worker_threads_ = std::max(1, opts_.worker_threads);
-    opts_.queue_depth = std::max<size_t>(1, opts_.queue_depth);
-    opts_.drr_quantum = std::max(1e-9, opts_.drr_quantum);
+    FASTGL_CHECK(opts_.worker_threads >= 1,
+                 "Server needs >= 1 sampler worker thread");
+    FASTGL_CHECK(opts_.queue_depth >= 1, "Server needs a queue depth >= 1");
+    FASTGL_CHECK(std::isfinite(opts_.drr_quantum) && opts_.drr_quantum > 0.0,
+                 "Server needs a finite DRR quantum > 0");
     // Autoscaling implies a modelled sampler pool: it needs a pool to
     // scale. Resolve the implied size here so options() reports it.
     if (opts_.autoscale.enabled && opts_.modelled_samplers == 0)
@@ -990,8 +993,8 @@ Server::run(std::span<const InferenceRequest> requests,
     };
 
     std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(worker_threads_));
-    for (int i = 0; i < worker_threads_; ++i)
+    workers.reserve(static_cast<size_t>(opts_.worker_threads));
+    for (int i = 0; i < opts_.worker_threads; ++i)
         workers.emplace_back(worker);
     std::thread sequencer([&] {
         try {
@@ -1038,7 +1041,7 @@ Server::serve(const std::vector<InferenceRequest> &trace)
         // queue depths, not by the trace length.
         util::InOrderRing<Sampled> ring(
             opts_.queue_depth * 2 +
-            static_cast<size_t>(worker_threads_) + 1);
+            static_cast<size_t>(opts_.worker_threads) + 1);
         while (ring.next() < trace.size()) {
             std::optional<Sampled> item = done.pop();
             if (!item)

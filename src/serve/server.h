@@ -147,9 +147,11 @@ struct ModelTier
 /** Everything configurable about one serving run. */
 struct ServerOptions
 {
-    /** Host sampler worker threads (no effect on modelled results). */
+    /** Host sampler worker threads, >= 1 (no effect on modelled
+     *  results). */
     int worker_threads = 2;
-    /** Capacity of the two hand-over queues (backpressure bound). */
+    /** Capacity of the two hand-over queues (backpressure bound),
+     *  >= 1. */
     size_t queue_depth = 8;
     /** Per-layer sampling fanouts, input layer first (as training). */
     std::vector<int> fanouts = {5, 10, 15};
@@ -168,8 +170,9 @@ struct ServerOptions
     std::vector<ModelTier> models;
     AdmissionPolicy admission;
     /**
-     * DRR quantum (modelled seconds) for interleaving per-tier batches
-     * on the shared device timeline; see DrrScheduler.
+     * DRR quantum (modelled seconds, finite and > 0) for interleaving
+     * per-tier batches on the shared device timeline; see
+     * DrrScheduler.
      */
     double drr_quantum = 1e-3;
     /**
@@ -429,7 +432,7 @@ class Server
         return ranking_;
     }
 
-    int worker_threads() const { return worker_threads_; }
+    int worker_threads() const { return opts_.worker_threads; }
     int64_t feature_cache_rows() const { return feature_rows_; }
     /** Modelled devices (>= 1); see ServerOptions::num_gpus. */
     int num_gpus() const { return num_gpus_; }
@@ -513,7 +516,6 @@ class Server
      *  only during serve(). */
     std::unique_ptr<store::FeatureResidency> residency_;
     std::vector<Tier> tiers_; ///< >= 1; [0] is the legacy single model.
-    int worker_threads_ = 1;
     /**
      * Batch-level ID dedup table, reused across dispatches (sequencer
      * only — touched-slot reset keeps per-batch cost proportional to

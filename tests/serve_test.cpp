@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <set>
 #include <thread>
@@ -474,6 +475,40 @@ TEST(Serve, RealForwardRegeneratesEachBatchUnionOnce)
         server.serve(trace);
         EXPECT_EQ(server.last_stats().rows_regenerated, st.rows_regenerated);
         EXPECT_EQ(server.last_stats().rows_copied, st.rows_copied);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Server: options rejected at construction
+// ---------------------------------------------------------------------
+
+using ServeDeathTest = ::testing::Test;
+
+TEST(ServeDeathTest, RejectsZeroWorkerThreads)
+{
+    auto opts = base_server_options();
+    opts.worker_threads = 0;
+    EXPECT_DEATH(serve::Server(products(), opts),
+                 ">= 1 sampler worker thread");
+}
+
+TEST(ServeDeathTest, RejectsZeroQueueDepth)
+{
+    auto opts = base_server_options();
+    opts.queue_depth = 0;
+    EXPECT_DEATH(serve::Server(products(), opts), "queue depth >= 1");
+}
+
+TEST(ServeDeathTest, RejectsANonPositiveOrNonFiniteDrrQuantum)
+{
+    for (const double quantum :
+         {0.0, -1e-3, std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN()}) {
+        auto opts = base_server_options();
+        opts.drr_quantum = quantum;
+        EXPECT_DEATH(serve::Server(products(), opts),
+                     "finite DRR quantum > 0")
+            << "quantum=" << quantum;
     }
 }
 
