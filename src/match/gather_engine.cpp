@@ -212,8 +212,8 @@ GatherEngine::gather(const graph::FeatureStore &store,
     // Hoisted structural pass: one bounds sweep here buys unvalidated
     // row access in the sharded inner loops below.
     store.validate_nodes(nodes);
-    const bool any_shared = !shared_rows.empty();
-    if (any_shared) {
+    const bool with_shared = !shared_rows.empty();
+    if (with_shared) {
         FASTGL_CHECK(shared_rows.size() == nodes.size(),
                      "one shared-row index per gathered node");
         const int64_t top =
@@ -226,7 +226,7 @@ GatherEngine::gather(const graph::FeatureStore &store,
     const int64_t rows = static_cast<int64_t>(nodes.size());
     const int64_t dim = store.dim();
     FeaturePanel panel = acquire_panel(rows, dim);
-    if (any_shared && !store.materialized())
+    if (with_shared && !store.materialized())
         own_ids_.resize(nodes.size());
 
     float *dst = panel.data();
@@ -237,11 +237,11 @@ GatherEngine::gather(const graph::FeatureStore &store,
     auto run_shard = [&](size_t begin, size_t end) {
         if (store.materialized()) {
             for (size_t i = begin; i < end; ++i)
-                copy_row_simd(any_shared && shared_rows[i] >= 0
+                copy_row_simd(with_shared && shared_rows[i] >= 0
                                   ? shared_row(i)
                                   : store.row_ptr_unvalidated(ids[i]),
                               dst + static_cast<int64_t>(i) * dim, dim);
-        } else if (!any_shared) {
+        } else if (!with_shared) {
             // On-demand rows are regenerated in SIMD lanes, a shard at
             // a time.
             store.gather_rows(nodes.subspan(begin, end - begin),
