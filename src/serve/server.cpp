@@ -509,16 +509,15 @@ struct Server::Engine
         if (s.tiers_[m].model) {
             const Clock::time_point c0 = Clock::now();
             const match::FeaturePanel shared = gather_shared_rows(batch);
-            const int64_t *member_rows = shared_row_of.data();
+            std::span<const int64_t> shared_rows(shared_row_of);
             for (const PendingRequest &pr : batch) {
                 const sample::SampledSubgraph &sg = pr.subgraph;
                 // Batched gather into a leased panel, forwarded as a
                 // zero-copy view — no per-request tensor allocation.
-                const std::span<const int64_t> rows(member_rows,
-                                                    sg.nodes.size());
-                member_rows += sg.nodes.size();
                 match::FeaturePanel panel = s.gather_engine_->gather(
-                    s.dataset_.features, sg.nodes, shared, rows);
+                    s.dataset_.features, sg.nodes, shared,
+                    shared_rows.first(sg.nodes.size()));
+                shared_rows = shared_rows.subspan(sg.nodes.size());
                 const compute::Tensor x = compute::Tensor::view(
                     panel.data(), panel.rows(), panel.dim());
                 const compute::Tensor logits =
