@@ -196,13 +196,6 @@ GatherEngine::acquire_panel(int64_t rows, int64_t dim)
 
 FeaturePanel
 GatherEngine::gather(const graph::FeatureStore &store,
-                     std::span<const graph::NodeId> nodes)
-{
-    return gather(store, nodes, FeaturePanel{}, {});
-}
-
-FeaturePanel
-GatherEngine::gather(const graph::FeatureStore &store,
                      std::span<const graph::NodeId> nodes,
                      const FeaturePanel &shared,
                      std::span<const int64_t> shared_rows)
@@ -226,49 +219,47 @@ GatherEngine::gather(const graph::FeatureStore &store,
     const int64_t rows = static_cast<int64_t>(nodes.size());
     const int64_t dim = store.dim();
     FeaturePanel panel = acquire_panel(rows, dim);
-    if (with_shared && !store.materialized())
+    if (!store.materialized())
         own_ids_.resize(nodes.size());
 
     float *dst = panel.data();
     const graph::NodeId *ids = nodes.data();
+    auto is_shared = [&](size_t i) {
+        return with_shared && shared_rows[i] >= 0;
+    };
     auto shared_row = [&](size_t i) {
         return shared.data() + shared_rows[i] * dim;
     };
     auto run_shard = [&](size_t begin, size_t end) {
         if (store.materialized()) {
             for (size_t i = begin; i < end; ++i)
-                copy_row_simd(with_shared && shared_rows[i] >= 0
+                copy_row_simd(is_shared(i)
                                   ? shared_row(i)
                                   : store.row_ptr_unvalidated(ids[i]),
                               dst + static_cast<int64_t>(i) * dim, dim);
-        } else if (!with_shared) {
-            // On-demand rows are regenerated in SIMD lanes, a shard at
-            // a time.
-            store.gather_rows(nodes.subspan(begin, end - begin),
-                              dst + static_cast<int64_t>(begin) * dim);
-        } else {
-            // Regenerate the rows no shared panel holds packed at the
-            // front of the shard, then place every row, last first.
-            // The k-th regenerated row moves to a row i >= k, and every
-            // packed row still to move lies below i, so a move or a
-            // shared copy never overwrites a row still to be read.
-            size_t own = begin;
-            for (size_t i = begin; i < end; ++i) {
-                if (shared_rows[i] < 0)
-                    own_ids_[own++] = ids[i];
-            }
-            store.gather_rows(
-                std::span<const graph::NodeId>(own_ids_).subspan(
-                    begin, own - begin),
-                dst + static_cast<int64_t>(begin) * dim);
-            for (size_t i = end; i-- > begin;) {
-                float *row = dst + static_cast<int64_t>(i) * dim;
-                if (shared_rows[i] >= 0)
-                    copy_row_simd(shared_row(i), row, dim);
-                else if (--own != i)
-                    copy_row_simd(dst + static_cast<int64_t>(own) * dim,
-                                  row, dim);
-            }
+            return;
+        }
+        // Regenerate the rows no shared panel holds in SIMD lanes,
+        // packed at the front of the shard, then place every row, last
+        // first. The k-th regenerated row moves to a row i >= k, and
+        // every packed row still to move lies below i, so a move or a
+        // shared copy never overwrites a row still to be read. With
+        // nothing shared, every row is already in place.
+        size_t own = begin;
+        for (size_t i = begin; i < end; ++i) {
+            if (!is_shared(i))
+                own_ids_[own++] = ids[i];
+        }
+        store.gather_rows(std::span<const graph::NodeId>(own_ids_).subspan(
+                              begin, own - begin),
+                          dst + static_cast<int64_t>(begin) * dim);
+        for (size_t i = end; i-- > begin;) {
+            float *row = dst + static_cast<int64_t>(i) * dim;
+            if (is_shared(i))
+                copy_row_simd(shared_row(i), row, dim);
+            else if (--own != i)
+                copy_row_simd(dst + static_cast<int64_t>(own) * dim, row,
+                              dim);
         }
     };
 

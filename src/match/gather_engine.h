@@ -22,9 +22,9 @@
  *   - row-sharding over util::ThreadPool — shards are disjoint row
  *     ranges of the panel, so output is **bit-identical at any thread
  *     count** (the KernelEngine contract);
- *   - a second entry that copies some rows from a panel gathered
- *     earlier instead of regenerating them — the server's batches
- *     regenerate each row their members share once;
+ *   - optionally, some rows copied from a panel gathered earlier
+ *     instead of regenerated — the server's batches regenerate each
+ *     row their members share once;
  *   - FeaturePanel outputs leased from a pool of buffers, one buffer
  *     per panel: steady-state gathers never touch the heap, and panels
  *     are *handed off* through queues / wrapped as
@@ -166,29 +166,22 @@ class GatherEngine
 
     /**
      * Gather one feature row per node into a fresh panel
-     * ([nodes.size() x store.dim()], local order = @p nodes order).
-     * Bit-identical to the sequential per-row gather_row loop at any
-     * thread count. Panics when a node ID is out of range (validated
-     * once, up front).
-     */
-    FeaturePanel gather(const graph::FeatureStore &store,
-                        std::span<const graph::NodeId> nodes);
-
-    /**
-     * gather() with some rows copied from a panel gathered earlier:
-     * row i is @p shared's row @p shared_rows[i] when that is >= 0,
-     * else node i's row from @p store. On an on-demand store the other
-     * rows are regenerated packed together, so the SIMD lanes stay
-     * full, then moved into place. Each shared row must hold its
-     * node's row, as gather() wrote it; the panel is then
-     * bit-identical to gather(store, nodes) at any thread count.
-     * Panics when a node ID or a shared row is out of range, the two
-     * lists differ in length, or the dims differ.
+     * ([nodes.size() x store.dim()], local order = @p nodes order),
+     * copying some rows from a panel gathered earlier: row i is
+     * @p shared's row @p shared_rows[i] when that is >= 0, else node
+     * i's row from @p store (every row, when @p shared_rows is empty).
+     * On an on-demand store the rows from @p store are regenerated
+     * packed together, so the SIMD lanes stay full, then moved into
+     * place. Each shared row must hold its node's row, as a gather
+     * wrote it; the panel is then bit-identical to the sequential
+     * per-row gather_row loop at any thread count. Panics when a node
+     * ID or a shared row is out of range (validated once, up front),
+     * the two lists differ in length, or the dims differ.
      */
     FeaturePanel gather(const graph::FeatureStore &store,
                         std::span<const graph::NodeId> nodes,
-                        const FeaturePanel &shared,
-                        std::span<const int64_t> shared_rows);
+                        const FeaturePanel &shared = {},
+                        std::span<const int64_t> shared_rows = {});
 
     const GatherStats &stats() const { return stats_; }
     void reset_stats() { stats_ = GatherStats{}; }
@@ -211,7 +204,7 @@ class GatherEngine
     std::unique_ptr<util::ThreadPool> pool_; ///< Null = sequential.
     std::shared_ptr<PanelPool> panels_;      ///< Kept alive by leases too.
     GatherStats stats_;
-    /** Shared-row gathers: the IDs of the rows each shard regenerates,
+    /** On-demand gathers: the IDs of the rows each shard regenerates,
      *  packed at the front of the shard's range. */
     std::vector<graph::NodeId> own_ids_;
 };
