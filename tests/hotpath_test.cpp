@@ -14,9 +14,11 @@
 #include "graph/generators.h"
 #include "match/match_degree.h"
 #include "match/reorder.h"
+#include "sample/cluster_sampler.h"
 #include "sample/layer_sampler.h"
 #include "sample/neighbor_sampler.h"
 #include "sample/random_walk_sampler.h"
+#include "sample/saint_sampler.h"
 #include "util/arena.h"
 #include "util/bitmap.h"
 #include "util/fnv.h"
@@ -456,6 +458,60 @@ TEST_F(GoldenBehavior, LayerSamplerUnchanged)
     for (int k = 0; k < 3; ++k)
         h = fnv(h, hash_subgraph(s.sample(seeds)));
     EXPECT_EQ(h, 0x7AB1C1D67AA48D1CULL);
+}
+
+// The ID-map counts feed sim::KernelModel::id_map_fused, and through it
+// every modelled second; hash_subgraph folds none of them. Each sampler
+// samples several batches so the table's reset between them is covered.
+TEST_F(GoldenBehavior, IdMapCountsUnchanged)
+{
+    uint64_t h = kFnvOffset;
+    auto fold = [&h](const sample::SampledSubgraph &sg) {
+        h = fnv(h, static_cast<uint64_t>(sg.id_map.instances));
+        h = fnv(h, static_cast<uint64_t>(sg.id_map.uniques));
+        h = fnv(h, static_cast<uint64_t>(sg.id_map.probes));
+    };
+    for (bool replace : {false, true}) {
+        sample::NeighborSamplerOptions o;
+        o.fanouts = {5, 10, 15};
+        o.replace = replace;
+        sample::NeighborSampler s(graph, o);
+        for (uint64_t k = 0; k < 3; ++k)
+            fold(s.sample(seeds, 3000 + k));
+    }
+    {
+        sample::RandomWalkSampler s(graph, sample::RandomWalkOptions{});
+        for (uint64_t k = 0; k < 3; ++k)
+            fold(s.sample(seeds, 4000 + k));
+    }
+    {
+        sample::LayerSamplerOptions o;
+        o.layer_sizes = {512, 256};
+        o.seed = 41;
+        sample::LayerSampler s(graph, o);
+        for (int k = 0; k < 3; ++k)
+            fold(s.sample(seeds));
+    }
+    for (sample::SaintMethod method :
+         {sample::SaintMethod::kNode, sample::SaintMethod::kEdge}) {
+        sample::SaintSamplerOptions o;
+        o.method = method;
+        o.budget = 600;
+        o.seed = 43;
+        sample::SaintSampler s(graph, o);
+        for (int k = 0; k < 3; ++k)
+            fold(s.sample());
+    }
+    {
+        sample::ClusterSamplerOptions o;
+        o.num_parts = 16;
+        o.parts_per_batch = 3;
+        o.seed = 47;
+        sample::ClusterSampler s(graph, o);
+        for (int k = 0; k < 3; ++k)
+            fold(s.sample());
+    }
+    EXPECT_EQ(h, 0x076442540E1355A8ULL);
 }
 
 TEST(GoldenMatch, MatrixStatsAndReorderUnchanged)
