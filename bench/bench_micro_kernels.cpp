@@ -2,7 +2,7 @@
  * @file
  * Google-benchmark microbenchmarks of the host-side primitives that the
  * framework's throughput depends on: Fused-Map insertion (sequential and
- * concurrent), neighbour sampling, set intersection (Match), greedy
+ * concurrent) beside the single-writer IdMap, neighbour sampling, set intersection (Match), greedy
  * reorder, and the numeric aggregation kernel.
  *
  * These measure *real host time* of the real algorithms, complementing
@@ -46,6 +46,25 @@ BM_FusedMapInsertSequential(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n));
 }
 BENCHMARK(BM_FusedMapInsertSequential)->Range(1 << 12, 1 << 18);
+
+void
+BM_IdMapInsertSequential(benchmark::State &state)
+{
+    const size_t n = size_t(state.range(0));
+    util::Rng rng(7);
+    std::vector<graph::NodeId> stream(n);
+    for (auto &g : stream)
+        g = graph::NodeId(rng.next_below(n / 4 + 1));
+    sample::IdMap table(n);
+    for (auto _ : state) {
+        table.reset(n);
+        for (graph::NodeId g : stream)
+            table.insert(g);
+        benchmark::DoNotOptimize(table.size());
+    }
+    state.SetItemsProcessed(int64_t(state.iterations()) * int64_t(n));
+}
+BENCHMARK(BM_IdMapInsertSequential)->Range(1 << 12, 1 << 18);
 
 void
 BM_FusedMapInsertParallel(benchmark::State &state)

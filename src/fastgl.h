@@ -42,6 +42,8 @@
 #include "match/reorder.h"
 #include "prof/profiler.h"
 #include "sample/batch_splitter.h"
+#include "sample/fused_hash_table.h"
+#include "sample/id_map.h"
 #include "sample/neighbor_sampler.h"
 #include "sample/random_walk_sampler.h"
 #include "serve/autoscaler.h"

@@ -12,7 +12,7 @@
 
 #include "graph/csr_graph.h"
 #include "graph/partition.h"
-#include "sample/fused_hash_table.h"
+#include "sample/id_map.h"
 #include "sample/minibatch.h"
 #include "util/rng.h"
 
@@ -50,7 +50,7 @@ class ClusterSampler
     ClusterSamplerOptions opts_;
     graph::Partitioning parts_;
     util::Rng rng_;
-    FusedHashTable table_;
+    IdMap table_;
 };
 
 } // namespace sample

@@ -8,10 +8,6 @@ namespace sample {
 FrequencyHashmap::FrequencyHashmap(size_t capacity_hint)
     : table_(capacity_hint)
 {
-    // Single-threaded insertion is the contract here, so touched-slot
-    // tracking is always safe and makes reset() proportional to the
-    // uniques, not the table.
-    table_.set_touched_tracking(true);
     uniques_.reserve(capacity_hint);
     counts_.reserve(capacity_hint);
 }
@@ -30,18 +26,15 @@ FrequencyHashmap::add(graph::NodeId node)
             table_.insert(u);
     }
     ++total_;
-    if (table_.insert(node)) {
-        // Sequential insertion assigns dense local IDs in first-seen
-        // order, so the new entry's local ID is exactly the index this
-        // push_back lands on — no second lookup needed.
+    // Sequential insertion assigns dense local IDs in first-seen order,
+    // so a new entry's local ID is exactly the index its push_back
+    // lands on.
+    const graph::NodeId local = table_.find_or_insert(node);
+    if (local == size()) {
         uniques_.push_back(node);
         counts_.push_back(1);
         return true;
     }
-    const graph::NodeId local = table_.lookup(node);
-    FASTGL_CHECK(local >= 0 &&
-                     local < static_cast<graph::NodeId>(counts_.size()),
-                 "frequency map lost a counted node");
     ++counts_[static_cast<size_t>(local)];
     return false;
 }

@@ -1,6 +1,6 @@
 /**
  * @file
- * One-pass count-while-dedup frequency map over the Fused-Map table.
+ * One-pass count-while-dedup frequency map over the sampler's IdMap.
  *
  * The presample phases (core::Pipeline::build_cache, serve::Server's
  * cache warmup) historically made two passes over the presampled node
@@ -8,16 +8,16 @@
  * occurrence, then a full-graph sort to rank hotness. FrequencyHashmap
  * collapses the counting side into the dedup pass the sampler already
  * does: one sweep over the stream emits BOTH the deduped node set
- * (first-seen order, exactly what FusedHashTable::insert assigns) and
+ * (first-seen order, exactly what IdMap assigns local IDs in) and
  * the per-unique occurrence counts, sized to the stream instead of the
  * graph. match::presample_ranking's sparse overload then produces a
  * ranking bit-identical to the dense two-pass.
  *
  * Counting rides on the local IDs the table assigns: sequential
- * insertion makes local ID == index into uniques()/counts(), so a
- * repeat costs one lookup + one increment and a fresh node one insert +
- * two push_backs. Not thread safe (single caller, like the presample
- * loops it serves).
+ * insertion makes local ID == index into uniques()/counts(), so each
+ * occurrence costs one probe walk, plus one increment for a repeat or
+ * two push_backs for a fresh node. Not thread safe (single caller, like
+ * the presample loops it serves).
  */
 #pragma once
 
@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "graph/csr_graph.h"
-#include "sample/fused_hash_table.h"
+#include "sample/id_map.h"
 
 namespace fastgl {
 namespace sample {
@@ -75,7 +75,7 @@ class FrequencyHashmap
     std::vector<int64_t> dense_frequencies(graph::NodeId num_nodes) const;
 
   private:
-    FusedHashTable table_;
+    IdMap table_;
     std::vector<graph::NodeId> uniques_;
     std::vector<int64_t> counts_;
     int64_t total_ = 0;

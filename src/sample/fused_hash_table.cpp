@@ -1,35 +1,10 @@
 #include "sample/fused_hash_table.h"
 
+#include "sample/id_map.h"
 #include "util/logging.h"
-#include "util/rng.h"
 
 namespace fastgl {
 namespace sample {
-
-namespace {
-
-constexpr graph::NodeId kEmptyKey = -1;
-
-size_t
-next_pow2(size_t n)
-{
-    size_t p = 16;
-    while (p < n)
-        p <<= 1;
-    return p;
-}
-
-/** Finalizer-style hash spreading global IDs across slots. */
-uint64_t
-hash_id(graph::NodeId global)
-{
-    uint64_t x = static_cast<uint64_t>(global);
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-} // namespace
 
 FusedHashTable::FusedHashTable(size_t capacity_hint)
 {
@@ -39,22 +14,15 @@ FusedHashTable::FusedHashTable(size_t capacity_hint)
 void
 FusedHashTable::reset(size_t capacity_hint)
 {
-    const size_t slots = next_pow2(capacity_hint * 2 + 1);
+    const size_t slots = id_map_slots(capacity_hint);
     if (slots != keys_.size()) {
         // std::atomic is not movable; rebuild the arrays.
         keys_ = std::vector<std::atomic<graph::NodeId>>(slots);
         values_ = std::vector<std::atomic<int64_t>>(slots);
         mask_ = slots - 1;
-        for (auto &key : keys_)
-            key.store(kEmptyKey, std::memory_order_relaxed);
-    } else if (track_touched_) {
-        // Only the slots fresh inserts filled need emptying.
-        for (size_t index : touched_)
-            keys_[index].store(kEmptyKey, std::memory_order_relaxed);
-    } else {
-        for (auto &key : keys_)
-            key.store(kEmptyKey, std::memory_order_relaxed);
     }
+    for (auto &key : keys_)
+        key.store(kEmptySlot, std::memory_order_relaxed);
     // values_ needs no sweep — but only because of the API contract
     // that lookups run after the insert phase has quiesced (see
     // lookup()): a slot's value is only read after its key matched,
@@ -63,31 +31,15 @@ FusedHashTable::reset(size_t capacity_hint)
     // under a forbidden concurrent insert+lookup a matched key could
     // pair with a stale value from a previous epoch — an in-range,
     // silently wrong local ID, not the zero the old full sweep gave.
-    touched_.clear();
     next_local_.store(0, std::memory_order_relaxed);
     probes_.store(0, std::memory_order_relaxed);
-}
-
-void
-FusedHashTable::set_touched_tracking(bool on)
-{
-    FASTGL_CHECK(size() == 0,
-                 "touched tracking must be toggled on an empty table");
-    track_touched_ = on;
-    touched_.clear();
-}
-
-size_t
-FusedHashTable::slot_for(graph::NodeId global) const
-{
-    return static_cast<size_t>(hash_id(global)) & mask_;
 }
 
 bool
 FusedHashTable::insert(graph::NodeId global)
 {
     FASTGL_CHECK(global >= 0, "negative global ID");
-    size_t index = slot_for(global);
+    size_t index = id_map_home(global, mask_);
     uint64_t local_probes = 0;
     for (;;) {
         ++local_probes;
@@ -98,8 +50,8 @@ FusedHashTable::insert(graph::NodeId global)
         // write-once, so a non-empty observation is final and the probe
         // walk is the one the CAS-only version would take.
         graph::NodeId seen = slot.load(std::memory_order_acquire);
-        if (seen == kEmptyKey) {
-            graph::NodeId expected = kEmptyKey;
+        if (seen == kEmptySlot) {
+            graph::NodeId expected = kEmptySlot;
             // Algorithm 2 line 13:
             // Val = atomicCAS(HashIndex, -1, GlobalID).
             if (slot.compare_exchange_strong(expected, global,
@@ -112,8 +64,6 @@ FusedHashTable::insert(graph::NodeId global)
                 values_[index].store(local, std::memory_order_release);
                 probes_.fetch_add(local_probes,
                                   std::memory_order_relaxed);
-                if (track_touched_)
-                    touched_.push_back(index);
                 return true;
             }
             seen = expected; // Lost the race; expected holds the owner.
@@ -141,9 +91,6 @@ void
 FusedHashTable::insert_stream_parallel(
     std::span<const graph::NodeId> stream, util::ThreadPool &pool)
 {
-    FASTGL_CHECK(!track_touched_,
-                 "touched tracking is single-threaded; disable it "
-                 "before parallel insertion");
     pool.parallel_for(stream.size(), [this, stream](size_t begin,
                                                     size_t end) {
         for (size_t i = begin; i < end; ++i)
@@ -154,18 +101,19 @@ FusedHashTable::insert_stream_parallel(
 graph::NodeId
 FusedHashTable::lookup(graph::NodeId global) const
 {
-    size_t index = slot_for(global);
+    size_t index = id_map_home(global, mask_);
     uint64_t local_probes = 0;
     for (;;) {
         ++local_probes;
         const graph::NodeId key = keys_[index].load(std::memory_order_acquire);
+        // Empty first, so a negative ID never matches an empty slot.
+        if (key == kEmptySlot) {
+            probes_.fetch_add(local_probes, std::memory_order_relaxed);
+            return graph::kInvalidNode;
+        }
         if (key == global) {
             probes_.fetch_add(local_probes, std::memory_order_relaxed);
             return values_[index].load(std::memory_order_acquire);
-        }
-        if (key == kEmptyKey) {
-            probes_.fetch_add(local_probes, std::memory_order_relaxed);
-            return graph::kInvalidNode;
         }
         index = (index + 1) & mask_;
         if (local_probes > keys_.size())
@@ -180,7 +128,7 @@ FusedHashTable::local_to_global() const
         static_cast<size_t>(size()), graph::kInvalidNode);
     for (size_t i = 0; i < keys_.size(); ++i) {
         const graph::NodeId key = keys_[i].load(std::memory_order_acquire);
-        if (key != kEmptyKey) {
+        if (key != kEmptySlot) {
             const int64_t local =
                 values_[i].load(std::memory_order_acquire);
             FASTGL_CHECK(local >= 0 &&

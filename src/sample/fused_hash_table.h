@@ -11,8 +11,9 @@
  *
  * This is a real concurrent data structure (std::atomic compare_exchange),
  * not a model: the property tests insert from many threads and verify the
- * resulting mapping is a dense bijection. Probe counts are recorded and fed
- * to sim::KernelModel to produce the modelled GPU latency.
+ * resulting mapping is a dense bijection. The samplers and the serve
+ * batcher each have one writer and use sample::IdMap, which shares this
+ * table's slot count and hash, so both walk the same probe sequence.
  */
 #pragma once
 
@@ -31,26 +32,14 @@ namespace sample {
 class FusedHashTable
 {
   public:
-    /**
-     * @param capacity_hint expected number of *instances*; the slot count
-     *        is the next power of two of twice this value, bounding the
-     *        load factor at 0.5 even if every instance were unique.
-     */
+    /** @param capacity_hint expected instances (see id_map_slots()). */
     explicit FusedHashTable(size_t capacity_hint);
 
-    /** Clear all entries; re-sizes if @p capacity_hint grew. */
-    void reset(size_t capacity_hint);
-
     /**
-     * Record the slot of every fresh insert so reset() can clear just
-     * those slots instead of sweeping the whole key array — the sweep
-     * dominates per-batch cost when the table is sized for a deep
-     * fan-out but holds far fewer uniques. Tracking makes insert()
-     * single-threaded (the touched list is unsynchronised); leave it
-     * off for tables fed by insert_stream_parallel. Must be enabled
-     * while the table is empty.
+     * Clear all entries by sweeping the key array; re-sizes when
+     * @p capacity_hint gives another slot count.
      */
-    void set_touched_tracking(bool on);
+    void reset(size_t capacity_hint);
 
     /**
      * Insert-or-find @p global (Algorithm 2 Fused_Map). Thread safe.
@@ -91,15 +80,11 @@ class FusedHashTable
     std::vector<graph::NodeId> local_to_global() const;
 
   private:
-    size_t slot_for(graph::NodeId global) const;
-
     std::vector<std::atomic<graph::NodeId>> keys_;
     std::vector<std::atomic<int64_t>> values_;
     std::atomic<int64_t> next_local_{0};
     mutable std::atomic<uint64_t> probes_{0};
     size_t mask_ = 0;
-    bool track_touched_ = false;
-    std::vector<size_t> touched_; ///< Slots filled since last reset.
 };
 
 } // namespace sample

@@ -16,7 +16,6 @@ LayerSampler::LayerSampler(const graph::CsrGraph &graph,
     FASTGL_CHECK(!opts_.layer_sizes.empty(), "need at least one layer");
     for (int64_t size : opts_.layer_sizes)
         FASTGL_CHECK(size > 0, "layer sizes must be positive");
-    table_.set_touched_tracking(true);
 }
 
 SampledSubgraph

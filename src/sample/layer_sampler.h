@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "graph/csr_graph.h"
-#include "sample/fused_hash_table.h"
+#include "sample/id_map.h"
 #include "sample/minibatch.h"
 #include "util/bitmap.h"
 #include "util/rng.h"
@@ -60,7 +60,7 @@ class LayerSampler
     const graph::CsrGraph &graph_;
     LayerSamplerOptions opts_;
     util::Rng rng_;
-    FusedHashTable table_;
+    IdMap table_;
     // Reused scratch: pending blocks, the Efraimidis-Spirakis key list,
     // and a dense membership bitmap over the graph's nodes replacing the
     // former per-hop std::unordered_set (bits are unset after each hop

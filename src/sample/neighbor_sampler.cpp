@@ -15,9 +15,6 @@ NeighborSampler::NeighborSampler(const graph::CsrGraph &graph,
     FASTGL_CHECK(!opts_.fanouts.empty(), "need at least one fanout");
     for (int fanout : opts_.fanouts)
         FASTGL_CHECK(fanout > 0, "fanouts must be positive");
-    // Sampler instances are single-threaded, so the ID map can clear
-    // only the slots each batch actually filled.
-    table_.set_touched_tracking(true);
 }
 
 SampledSubgraph
@@ -60,6 +57,7 @@ NeighborSampler::sample(std::span<const graph::NodeId> seeds)
             nodes.push_back(s);
         ++sg.instances;
     }
+    const uint64_t seed_probes = table_.probes();
 
     // Hop h expands the monotone frontier nodes[0 .. frontier_size); the
     // frontier equals all nodes inserted so far (self edges keep targets
@@ -81,39 +79,42 @@ NeighborSampler::sample(std::span<const graph::NodeId> seeds)
                 : arena_.alloc_array<graph::EdgeId>(
                       static_cast<size_t>(fanout));
         const size_t frontier_size = nodes.size();
-        PendingBlock &blk = pending_[static_cast<size_t>(h)];
-        blk.counts = {arena_.alloc_array<graph::EdgeId>(frontier_size),
-                      frontier_size};
-        const size_t src_cap =
-            frontier_size * (static_cast<size_t>(fanout) + 1);
-        blk.src_globals = {arena_.alloc_array<graph::NodeId>(src_cap),
-                           src_cap};
-        blk.src_locals = {arena_.alloc_array<graph::NodeId>(src_cap),
-                          src_cap};
-        blk.num_sources = 0;
+        graph::EdgeId *const counts =
+            arena_.alloc_array<graph::EdgeId>(frontier_size);
+        graph::NodeId *const sources = arena_.alloc_array<graph::NodeId>(
+            frontier_size * (static_cast<size_t>(fanout) + 1));
+        size_t num_sources = 0;
+
+        // ID-map construction and translation, fused into the sampling
+        // loop: one probe walk per sampled edge inserts its source on
+        // first sight and returns the source's local ID. The insert
+        // sequence is the pick order, as the paper's construction
+        // kernel sees the sampled stream.
+        auto take = [&](graph::NodeId v) {
+            const graph::NodeId local = table_.find_or_insert(v);
+            if (local == static_cast<graph::NodeId>(nodes.size()))
+                nodes.push_back(v);
+            sources[num_sources++] = local;
+        };
 
         for (size_t t = 0; t < frontier_size; ++t) {
-            const size_t first_src = blk.num_sources;
+            const size_t first_src = num_sources;
             const graph::NodeId u = nodes[t];
             const auto nbrs = graph_.neighbors(u);
             const graph::EdgeId deg =
                 static_cast<graph::EdgeId>(nbrs.size());
-            graph::EdgeId count = 0;
 
             if (opts_.replace && deg > 0) {
                 // With replacement: exactly `fanout` independent draws.
                 for (int k = 0; k < fanout; ++k) {
                     const graph::EdgeId idx = static_cast<graph::EdgeId>(
                         rng_.next_below(static_cast<uint64_t>(deg)));
-                    blk.src_globals[blk.num_sources++] = nbrs[idx];
-                    ++count;
-                    ++sg.edges_examined;
+                    take(nbrs[idx]);
                 }
+                sg.edges_examined += fanout;
             } else if (deg <= fanout) {
-                for (graph::NodeId v : nbrs) {
-                    blk.src_globals[blk.num_sources++] = v;
-                    ++count;
-                }
+                for (graph::NodeId v : nbrs)
+                    take(v);
                 sg.edges_examined += deg;
             } else {
                 // Uniform without replacement via rejection; fanout is
@@ -133,45 +134,29 @@ NeighborSampler::sample(std::span<const graph::NodeId> seeds)
                     if (dup)
                         continue;
                     chosen[picked++] = idx;
-                    blk.src_globals[blk.num_sources++] = nbrs[idx];
-                    ++count;
+                    take(nbrs[idx]);
                 }
             }
 
-            if (opts_.add_self_loops) {
-                blk.src_globals[blk.num_sources++] = u;
-                ++count;
-            }
-            blk.counts[t] = count;
-
-            // ID-map construction and translation, fused into the
-            // sampling loop while this target's picks are still
-            // cache-hot. The insert sequence equals src_globals order —
-            // exactly what the former whole-hop insert pass produced —
-            // and the immediate lookup walks the same fixed probe path
-            // the former deferred translate pass would have, so local
-            // IDs and total probe counts are unchanged.
-            for (size_t e = first_src; e < blk.num_sources; ++e) {
-                const graph::NodeId v = blk.src_globals[e];
-                if (table_.insert(v))
-                    nodes.push_back(v);
-                blk.src_locals[e] = table_.lookup(v);
-            }
+            if (opts_.add_self_loops)
+                take(u);
+            counts[t] = static_cast<graph::EdgeId>(num_sources - first_src);
         }
+        pending_[static_cast<size_t>(h)] = {{counts, frontier_size},
+                                            {sources, num_sources}};
 
         // Every sampled endpoint is an instance except the synthetic self
         // loops, which the ID map never sees separately (the target is
         // already mapped).
-        sg.instances += static_cast<int64_t>(blk.num_sources) -
+        sg.instances += static_cast<int64_t>(num_sources) -
                         (opts_.add_self_loops
                              ? static_cast<int64_t>(frontier_size)
                              : 0);
     }
 
-    // Translate pass (the paper's second kernel): convert the recorded
-    // global IDs into local IDs and finalise the CSR blocks.
+    // Finalise the CSR blocks from the staged counts and local IDs.
     for (int h = 0; h < hops; ++h) {
-        PendingBlock &blk = pending_[static_cast<size_t>(h)];
+        const PendingBlock &blk = pending_[static_cast<size_t>(h)];
         LayerBlock &out = sg.blocks[h];
         const size_t num_targets = blk.counts.size();
         out.targets.resize(num_targets);
@@ -180,17 +165,19 @@ NeighborSampler::sample(std::span<const graph::NodeId> seeds)
         out.indptr[0] = 0;
         for (size_t t = 0; t < num_targets; ++t)
             out.indptr[t + 1] = out.indptr[t] + blk.counts[t];
-        out.sources.resize(blk.num_sources);
-        for (size_t e = 0; e < blk.num_sources; ++e) {
-            FASTGL_CHECK(blk.src_locals[e] != graph::kInvalidNode,
-                         "sampled node missing from ID map");
-            out.sources[e] = blk.src_locals[e];
-        }
+        out.sources.assign(blk.sources.begin(), blk.sources.end());
     }
 
+    // The paper translates every sampled edge in a second kernel. In an
+    // insert-only linear-probe table a key's walk never changes once it
+    // is inserted, so that lookup would walk exactly as far as the
+    // edge's walk above did: charge each edge walk twice. Seeds are
+    // only inserted.
+    const uint64_t edge_probes = table_.probes() - seed_probes;
     sg.id_map.instances = sg.instances;
     sg.id_map.uniques = table_.size();
-    sg.id_map.probes = static_cast<int64_t>(table_.probes());
+    sg.id_map.probes =
+        static_cast<int64_t>(seed_probes + 2 * edge_probes);
     return sg;
 }
 

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "graph/csr_graph.h"
-#include "sample/fused_hash_table.h"
+#include "sample/id_map.h"
 #include "sample/minibatch.h"
 #include "util/arena.h"
 #include "util/rng.h"
@@ -49,8 +49,8 @@ class NeighborSampler
     /**
      * Sample one mini-batch subgraph rooted at @p seeds.
      *
-     * Nodes are assigned dense local IDs through a FusedHashTable in
-     * insertion order (seeds first); probe counts and instance counts are
+     * Nodes are assigned dense local IDs through an IdMap in insertion
+     * order (seeds first); probe counts and instance counts are
      * recorded in the result for the device model.
      */
     SampledSubgraph sample(std::span<const graph::NodeId> seeds);
@@ -74,30 +74,17 @@ class NeighborSampler
     int num_hops() const { return static_cast<int>(opts_.fanouts.size()); }
 
   private:
-    /**
-     * Per-hop staging buffers, carved from the arena each call. Spans
-     * are sized to the hop's worst case; num_sources tracks the fill.
-     */
+    /** Per-hop staging buffers, carved from the arena each call. */
     struct PendingBlock
     {
-        std::span<graph::EdgeId> counts;      ///< Per-target edge count.
-        std::span<graph::NodeId> src_globals; ///< Source global IDs.
-        /**
-         * Source local IDs, resolved right after each insert while the
-         * slot is cache-hot. In this insert-only linear-probe table a
-         * key's probe path is fixed once inserted, so the immediate
-         * lookup returns the same ID with the same probe count as the
-         * deferred whole-batch translate pass used to — the pass is now
-         * a plain copy.
-         */
-        std::span<graph::NodeId> src_locals;
-        size_t num_sources = 0;
+        std::span<graph::EdgeId> counts;  ///< Per-target edge count.
+        std::span<graph::NodeId> sources; ///< Source local IDs.
     };
 
     const graph::CsrGraph &graph_;
     NeighborSamplerOptions opts_;
     util::Rng rng_;
-    FusedHashTable table_;
+    IdMap table_;
     /**
      * Scratch arena reset at the start of every sample() call: pending
      * blocks and large-fanout rejection buffers bump-allocate here, so

@@ -16,7 +16,6 @@ RandomWalkSampler::RandomWalkSampler(const graph::CsrGraph &graph,
     FASTGL_CHECK(opts_.walk_length > 0, "walk length must be positive");
     FASTGL_CHECK(opts_.num_walks > 0, "walk count must be positive");
     FASTGL_CHECK(opts_.top_k > 0, "top_k must be positive");
-    table_.set_touched_tracking(true);
     // Flat visit-count array, zeroed once; walks only ever touch the
     // entries they visit, and those are re-zeroed per seed via the
     // touched list, so the invariant "all zero between seeds" holds

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "graph/csr_graph.h"
-#include "sample/fused_hash_table.h"
+#include "sample/id_map.h"
 #include "sample/minibatch.h"
 #include "util/arena.h"
 #include "util/rng.h"
@@ -58,7 +58,7 @@ class RandomWalkSampler
     const graph::CsrGraph &graph_;
     RandomWalkOptions opts_;
     util::Rng rng_;
-    FusedHashTable table_;
+    IdMap table_;
     /**
      * Scratch arena: the flat per-node visit-count array lives below the
      * watermark (allocated once, zeroed incrementally via the touched

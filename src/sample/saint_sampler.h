@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "graph/csr_graph.h"
-#include "sample/fused_hash_table.h"
+#include "sample/id_map.h"
 #include "sample/minibatch.h"
 #include "util/rng.h"
 
@@ -53,7 +53,7 @@ class SaintSampler
     const graph::CsrGraph &graph_;
     SaintSamplerOptions opts_;
     util::Rng rng_;
-    FusedHashTable table_;
+    IdMap table_;
     /** Degree-weighted alias-free sampling prefix (kNode method). */
     std::vector<double> degree_prefix_;
 };

@@ -8,7 +8,7 @@ namespace sample {
 SampledSubgraph
 induce_subgraph(const graph::CsrGraph &graph,
                 std::span<const graph::NodeId> nodes, int num_layers,
-                FusedHashTable &table, int64_t extra_instances)
+                IdMap &table, int64_t extra_instances)
 {
     FASTGL_CHECK(num_layers >= 1, "need at least one layer");
     table.reset(nodes.size());

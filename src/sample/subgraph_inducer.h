@@ -3,14 +3,14 @@
  * Induced-subgraph construction shared by the GraphSAINT and ClusterGCN
  * samplers: given a set of global node IDs, build the subgraph containing
  * every edge whose endpoints are both in the set, in local-ID space, with
- * the ID map performed through the FusedHashTable (paper Section 7: every
+ * the ID map performed through an IdMap (paper Section 7: every
  * sampling algorithm needs the ID-map step, so Fused-Map helps them all).
  */
 #pragma once
 
 #include <span>
 
-#include "sample/fused_hash_table.h"
+#include "sample/id_map.h"
 #include "sample/minibatch.h"
 
 namespace fastgl {
@@ -31,7 +31,7 @@ namespace sample {
 SampledSubgraph
 induce_subgraph(const graph::CsrGraph &graph,
                 std::span<const graph::NodeId> nodes, int num_layers,
-                FusedHashTable &table, int64_t extra_instances = 0);
+                IdMap &table, int64_t extra_instances = 0);
 
 } // namespace sample
 } // namespace fastgl

@@ -8,7 +8,7 @@
  * requests that arrive close together into one micro-batch under the
  * classic max-batch / max-wait policy (close the batch when it is full
  * OR when its oldest member has waited long enough), and the Server
- * deduplicates the union of their ego-nets through a FusedHashTable so
+ * deduplicates the union of their ego-nets through an IdMap so
  * shared neighbours cross PCIe once.
  *
  * The batcher runs entirely on the virtual clock inside the serving

@@ -147,8 +147,6 @@ Server::Server(const graph::Dataset &dataset, ServerOptions opts,
     residency_ = std::make_unique<store::FeatureResidency>(
         dataset_.features, dataset_.graph, ranking_, spec_, residency);
 
-    table_.set_touched_tracking(true);
-
     if (opts_.compute_logits) {
         engine_ = std::make_unique<compute::KernelEngine>(
             opts_.compute_threads);
@@ -183,7 +181,8 @@ Server::cost_batch(size_t tier, int device,
     uint64_t topo_bytes = 0;
     double compute_sum = 0.0;
     for (const PendingRequest &pr : batch) {
-        table_.insert_stream(pr.subgraph.nodes);
+        for (graph::NodeId node : pr.subgraph.nodes)
+            table_.insert(node);
         instances += pr.subgraph.num_nodes();
         uniq_sum += pr.subgraph.num_nodes();
         edges += pr.subgraph.edges_examined;

@@ -68,7 +68,7 @@
 #include "match/feature_cache.h"
 #include "match/gather_engine.h"
 #include "prof/profiler.h"
-#include "sample/fused_hash_table.h"
+#include "sample/id_map.h"
 #include "serve/autoscaler.h"
 #include "serve/batcher.h"
 #include "serve/embedding_cache.h"
@@ -518,10 +518,10 @@ class Server
     std::vector<Tier> tiers_; ///< >= 1; [0] is the legacy single model.
     /**
      * Batch-level ID dedup table, reused across dispatches (sequencer
-     * only — touched-slot reset keeps per-batch cost proportional to
-     * batch uniques, as in the samplers).
+     * only). Its reset and local_to_global() visit the batch's uniques,
+     * not every slot, unless the batch changes the slot count.
      */
-    sample::FusedHashTable table_;
+    sample::IdMap table_;
     /** Kernel engine for compute_logits forwards; shared by all tiers
      *  (deterministic at any width). Non-null iff compute_logits. */
     std::unique_ptr<compute::KernelEngine> engine_;

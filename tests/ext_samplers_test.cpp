@@ -58,7 +58,7 @@ TEST(SubgraphInducer, KeepsOnlyInSetEdges)
 {
     const auto &g = test_graph();
     std::vector<graph::NodeId> members = {1, 2, 3, 4, 5, 100, 200};
-    sample::FusedHashTable table(16);
+    sample::IdMap table(16);
     const auto sg = sample::induce_subgraph(g, members, 2, table);
     check_structure(sg);
     EXPECT_EQ(sg.num_nodes(), 7);
@@ -88,7 +88,7 @@ TEST(SubgraphInducer, DuplicateMembersCollapse)
 {
     const auto &g = test_graph();
     std::vector<graph::NodeId> members = {7, 7, 7, 8};
-    sample::FusedHashTable table(8);
+    sample::IdMap table(8);
     const auto sg = sample::induce_subgraph(g, members, 1, table);
     EXPECT_EQ(sg.num_nodes(), 2);
     EXPECT_EQ(sg.instances, 4); // all member instances counted
