@@ -16,6 +16,7 @@
 #include "graph/graph_builder.h"
 #include "sample/batch_splitter.h"
 #include "sample/fused_hash_table.h"
+#include "sample/id_map.h"
 #include "util/table.h"
 
 namespace fastgl {
@@ -55,6 +56,25 @@ TEST(FailureInjection, FusedHashTablePanicsWhenFull)
     EXPECT_DEATH(
         {
             sample::FusedHashTable table(1);
+            for (graph::NodeId g = 0; g < 40; ++g)
+                table.insert(g * 7919 + 3);
+        },
+        "hash table is full");
+}
+
+TEST(FailureInjection, IdMapRejectsNegativeIds)
+{
+    sample::IdMap table(8);
+    EXPECT_DEATH(table.insert(-5), "negative global ID");
+    EXPECT_DEATH(table.find_or_insert(-1), "negative global ID");
+}
+
+TEST(FailureInjection, IdMapPanicsWhenFull)
+{
+    // The minimum table has 16 slots; a 17th distinct key cannot fit.
+    EXPECT_DEATH(
+        {
+            sample::IdMap table(1);
             for (graph::NodeId g = 0; g < 40; ++g)
                 table.insert(g * 7919 + 3);
         },

@@ -4,7 +4,9 @@
  *
  * The core claims: (1) every distinct global ID receives exactly one local
  * ID; (2) local IDs are dense in [0, uniques); (3) this holds under real
- * multi-threaded insertion; (4) linear probing resolves collisions.
+ * multi-threaded insertion; (4) linear probing resolves collisions; (5)
+ * the single-writer IdMap the samplers use answers and probes exactly as
+ * a sequentially fed FusedHashTable does.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include <unordered_set>
 
 #include "sample/fused_hash_table.h"
+#include "sample/id_map.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -162,6 +165,58 @@ TEST(FusedHashTable, ParallelAndSequentialAgreeOnUniqueCount)
     std::sort(a.begin(), a.end());
     std::sort(b.begin(), b.end());
     EXPECT_EQ(a, b);
+}
+
+// The probe counts feed the modelled ID-map seconds, so the plain map
+// must walk exactly the concurrent table's probe sequence: same answer
+// from every call, same probes() after it, across a reset that keeps
+// the slot count and one that grows it.
+TEST(IdMap, MatchesSequentialFusedHashTable)
+{
+    util::Rng rng(11);
+    sample::IdMap id(1000);
+    sample::FusedHashTable fused(1000);
+    auto expect_same_state = [&] {
+        EXPECT_EQ(id.size(), fused.size());
+        EXPECT_EQ(id.probes(), fused.probes());
+        EXPECT_EQ(id.capacity(), fused.capacity());
+        EXPECT_EQ(id.local_to_global(), fused.local_to_global());
+    };
+    for (size_t hint : {1000, 1000, 4000}) {
+        id.reset(hint);
+        fused.reset(hint);
+        ASSERT_EQ(id.capacity(), fused.capacity());
+        // Half the universe of keys gets inserted; lookups draw from
+        // all of it, so about half of them miss.
+        const uint64_t universe = hint;
+        for (size_t op = 0; op < hint; ++op) {
+            const auto key =
+                static_cast<graph::NodeId>(rng.next_below(universe));
+            switch (rng.next_below(3)) {
+            case 0:
+                ASSERT_EQ(id.insert(key), fused.insert(key)) << key;
+                break;
+            case 1: {
+                const bool fresh = fused.insert(key);
+                const int64_t before = id.size();
+                const graph::NodeId local = id.find_or_insert(key);
+                ASSERT_EQ(local == before, fresh) << key;
+                ASSERT_EQ(id.probes(), fused.probes());
+                ASSERT_EQ(local, fused.lookup(key)) << key;
+                ASSERT_EQ(local, id.lookup(key)) << key;
+                break;
+            }
+            default: {
+                const auto probe = static_cast<graph::NodeId>(
+                    rng.next_below(2 * universe));
+                ASSERT_EQ(id.lookup(probe), fused.lookup(probe)) << probe;
+                break;
+            }
+            }
+            ASSERT_EQ(id.probes(), fused.probes()) << "op " << op;
+        }
+        expect_same_state();
+    }
 }
 
 } // namespace
