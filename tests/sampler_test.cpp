@@ -5,13 +5,16 @@
  */
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <unordered_set>
 
 #include "graph/generators.h"
+#include "graph/graph_builder.h"
 #include "sample/batch_splitter.h"
 #include "sample/neighbor_sampler.h"
 #include "sample/random_walk_sampler.h"
+#include "util/rng.h"
 
 namespace fastgl {
 namespace {
@@ -168,6 +171,95 @@ TEST(NeighborSampler, SelfLoopPresentForEveryTarget)
                     self = true;
             }
             EXPECT_TRUE(self) << "no self edge for target " << t;
+        }
+    }
+}
+
+/**
+ * A seeded random multigraph: the last eighth of its nodes are isolated,
+ * node 0 is a hub whose degree exceeds every fanout up to
+ * @p max_fanout, and the other edges are random, duplicates and self
+ * edges kept.
+ */
+graph::CsrGraph
+random_multigraph(uint64_t seed, int max_fanout)
+{
+    util::Rng rng(seed);
+    const auto n = static_cast<graph::NodeId>(40 + rng.next_below(200));
+    const graph::NodeId linked = n - n / 8;
+    auto any_linked = [&] {
+        return static_cast<graph::NodeId>(
+            rng.next_below(static_cast<uint64_t>(linked)));
+    };
+    graph::GraphBuilder builder(n);
+    for (int k = 0; k < 3 * max_fanout; ++k)
+        builder.add_edge(0, any_linked());
+    const auto edges = linked * static_cast<graph::NodeId>(
+                                    1 + rng.next_below(6));
+    for (graph::NodeId e = 0; e < edges; ++e)
+        builder.add_edge(any_linked(), any_linked());
+    return builder.build(/*dedup=*/false);
+}
+
+// The structural checks above, over many graphs instead of one. Without
+// replacement a target picks min(degree, fanout) distinct adjacency
+// positions, so no neighbour appears among its picks more often than in
+// its adjacency list; with replacement it draws exactly fanout times.
+TEST(NeighborSampler, PropertiesHoldOnRandomGraphs)
+{
+    constexpr int kMaxFanout = 8;
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+        const graph::CsrGraph g = random_multigraph(seed, kMaxFanout);
+        util::Rng rng(seed * 31);
+        sample::NeighborSamplerOptions opts;
+        opts.fanouts.resize(1 + rng.next_below(3));
+        for (int &fanout : opts.fanouts)
+            fanout = static_cast<int>(1 + rng.next_below(kMaxFanout));
+        // Distinct seeds, always with the hub and an isolated node.
+        std::set<graph::NodeId> seed_set = {0, g.num_nodes() - 1};
+        while (seed_set.size() < 12) {
+            seed_set.insert(static_cast<graph::NodeId>(
+                rng.next_below(static_cast<uint64_t>(g.num_nodes()))));
+        }
+        const std::vector<graph::NodeId> seeds(seed_set.begin(),
+                                               seed_set.end());
+        for (bool replace : {false, true}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "graph seed " << seed << " replace "
+                         << replace);
+            opts.replace = replace;
+            sample::NeighborSampler sampler(g, opts);
+            const auto sg = sampler.sample(seeds, seed);
+            const int hops = static_cast<int>(opts.fanouts.size());
+            check_subgraph(sg, g, seeds.size(), hops);
+            check_edges_exist(sg, g);
+            for (int h = 0; h < hops; ++h) {
+                const int fanout = opts.fanouts[size_t(hops - 1 - h)];
+                const auto &blk = sg.blocks[size_t(h)];
+                for (int64_t t = 0; t < blk.num_targets(); ++t) {
+                    const auto nbrs = g.neighbors(sg.nodes[size_t(t)]);
+                    const auto deg = static_cast<int64_t>(nbrs.size());
+                    const int64_t picks = replace
+                                              ? (deg > 0 ? fanout : 0)
+                                              : std::min<int64_t>(
+                                                    deg, fanout);
+                    // The row's last source is the added self edge.
+                    ASSERT_EQ(blk.indptr[t + 1] - blk.indptr[t],
+                              picks + 1);
+                    ASSERT_EQ(blk.sources[blk.indptr[t + 1] - 1], t);
+                    if (replace)
+                        continue;
+                    std::map<graph::NodeId, int> adjacency, picked;
+                    for (graph::NodeId v : nbrs)
+                        ++adjacency[v];
+                    for (graph::EdgeId e = blk.indptr[t];
+                         e + 1 < blk.indptr[t + 1]; ++e)
+                        ++picked[sg.nodes[size_t(blk.sources[e])]];
+                    for (const auto &[v, count] : picked)
+                        ASSERT_LE(count, adjacency[v])
+                            << v << " picked by target " << t;
+                }
+            }
         }
     }
 }
