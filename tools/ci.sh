@@ -63,13 +63,14 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
 # window pool while this one is matched, and ThreadPool covers the
 # TaskGroup that joins those tasks; NodeSet covers bitmap builds on
 # several threads at once; Trainer and Determinism cover train_epoch's
-# batch producer thread.
+# batch producer thread; FusedHashTable and FusedMapConcurrency cover
+# the Fused-Map table's concurrent inserts (insert_stream_parallel).
 if [[ "${FASTGL_TSAN:-0}" == "1" ]]; then
     echo "==> ThreadSanitizer configuration (concurrency suite)"
     run_config build-tsan -DFASTGL_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
     ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-        -R 'BoundedQueue|ThreadPool|Pipeline\.|Determinism|NodeSet|Trainer|Serve|StageShutdown|ComputeKernels|Gather|FrequencyHashmap|FeaturePanel|MultiGpu|Partition|PeerTopology|OocStore|StorageLink|Prefetch|Profiler|Autoscale|ClosedLoop'
+        -R 'BoundedQueue|ThreadPool|FusedHashTable|FusedMapConcurrency|Pipeline\.|Determinism|NodeSet|Trainer|Serve|StageShutdown|ComputeKernels|Gather|FrequencyHashmap|FeaturePanel|MultiGpu|Partition|PeerTopology|OocStore|StorageLink|Prefetch|Profiler|Autoscale|ClosedLoop'
 fi
 
 # Gate one archived bench JSON: bench_gate FILE REQUIRED [FORBIDDEN...].
