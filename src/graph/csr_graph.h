@@ -4,7 +4,9 @@
  * samplers, the matcher, and the compute layers.
  *
  * Node IDs in the full graph are "global IDs" (NodeId); sampled subgraphs
- * re-index their nodes with "local IDs" (see fastgl::sample::IdMap).
+ * re-index their nodes with "local IDs" (see fastgl::sample::IdMap, the
+ * samplers' table, and fastgl::sample::FusedHashTable, its concurrent
+ * Algorithm 2 counterpart).
  */
 #pragma once
 
