@@ -38,6 +38,7 @@ LayerSampler::sample(std::span<const graph::NodeId> seeds)
             sg.nodes.push_back(s);
         ++sg.instances;
     }
+    const uint64_t seed_probes = table_.probes();
 
     // Weight accumulator is per-call on purpose (see header: RNG draw
     // order is pinned to this map's iteration order); everything else
@@ -46,7 +47,7 @@ LayerSampler::sample(std::span<const graph::NodeId> seeds)
     pending_.resize(static_cast<size_t>(hops));
     for (PendingBlock &blk : pending_) {
         blk.counts.clear();
-        blk.src_globals.clear();
+        blk.sources.clear();
     }
     chosen_.resize(static_cast<size_t>(graph_.num_nodes()));
 
@@ -83,19 +84,27 @@ LayerSampler::sample(std::span<const graph::NodeId> seeds)
 
         // Block edges: frontier target u keeps neighbours inside the
         // chosen layer, plus a self edge (keeps the frontier monotone).
+        // One probe walk per edge inserts its source on first sight and
+        // returns the source's local ID.
         PendingBlock &blk = pending_[static_cast<size_t>(h)];
         blk.counts.reserve(frontier_size);
+        auto take = [&](graph::NodeId v) {
+            const graph::NodeId local = table_.find_or_insert(v);
+            if (local == static_cast<graph::NodeId>(sg.nodes.size()))
+                sg.nodes.push_back(v);
+            blk.sources.push_back(local);
+        };
         for (size_t t = 0; t < frontier_size; ++t) {
             const graph::NodeId gu = sg.nodes[t];
             graph::EdgeId count = 0;
             for (graph::NodeId v : graph_.neighbors(gu)) {
                 if (chosen_.test(static_cast<size_t>(v))) {
-                    blk.src_globals.push_back(v);
+                    take(v);
                     ++count;
                     ++sg.instances;
                 }
             }
-            blk.src_globals.push_back(gu);
+            take(gu);
             ++count;
             blk.counts.push_back(count);
         }
@@ -104,15 +113,9 @@ LayerSampler::sample(std::span<const graph::NodeId> seeds)
         // the all-zero invariant without an O(num_nodes) clear.
         for (size_t i = 0; i < keep; ++i)
             chosen_.unset(static_cast<size_t>(keyed_[i].second));
-
-        // ID-map construction for the new layer's nodes.
-        for (graph::NodeId v : blk.src_globals) {
-            if (table_.insert(v))
-                sg.nodes.push_back(v);
-        }
     }
 
-    // Translate pass.
+    // Finalise the CSR blocks from the staged counts and local IDs.
     for (int h = 0; h < hops; ++h) {
         PendingBlock &blk = pending_[static_cast<size_t>(h)];
         LayerBlock &out = sg.blocks[static_cast<size_t>(h)];
@@ -124,17 +127,16 @@ LayerSampler::sample(std::span<const graph::NodeId> seeds)
             out.targets[t] = int64_t(t);
             out.indptr[t + 1] = out.indptr[t] + blk.counts[t];
         }
-        out.sources.resize(blk.src_globals.size());
-        for (size_t e = 0; e < blk.src_globals.size(); ++e) {
-            out.sources[e] = table_.lookup(blk.src_globals[e]);
-            FASTGL_CHECK(out.sources[e] != graph::kInvalidNode,
-                         "layer node missing from ID map");
-        }
+        out.sources = blk.sources;
     }
 
+    // Charge each edge walk twice, for the translate lookup it stands
+    // for (see NeighborSampler::sample).
+    const uint64_t edge_probes = table_.probes() - seed_probes;
     sg.id_map.instances = sg.instances;
     sg.id_map.uniques = table_.size();
-    sg.id_map.probes = static_cast<int64_t>(table_.probes());
+    sg.id_map.probes =
+        static_cast<int64_t>(seed_probes + 2 * edge_probes);
     return sg;
 }
 

@@ -54,7 +54,7 @@ class LayerSampler
     struct PendingBlock
     {
         std::vector<graph::EdgeId> counts;
-        std::vector<graph::NodeId> src_globals;
+        std::vector<graph::NodeId> sources; ///< Source local IDs.
     };
 
     const graph::CsrGraph &graph_;

@@ -50,6 +50,7 @@ RandomWalkSampler::sample(std::span<const graph::NodeId> seeds)
             sg.nodes.push_back(s);
         ++sg.instances;
     }
+    const uint64_t seed_probes = table_.probes();
 
     // Per-call scratch from the arena (reclaimed wholesale by reset):
     // a seed's walks visit at most num_walks * walk_length distinct
@@ -62,12 +63,19 @@ RandomWalkSampler::sample(std::span<const graph::NodeId> seeds)
         arena_.alloc_array<std::pair<int, graph::NodeId>>(visit_cap);
     const size_t src_cap =
         seeds.size() * (static_cast<size_t>(opts_.top_k) + 1);
-    graph::NodeId *src_globals =
-        arena_.alloc_array<graph::NodeId>(src_cap);
+    graph::NodeId *sources = arena_.alloc_array<graph::NodeId>(src_cap);
     size_t num_src = 0;
     graph::EdgeId *counts =
         arena_.alloc_array<graph::EdgeId>(seeds.size());
     size_t num_counts = 0;
+    // One probe walk per edge inserts its source on first sight and
+    // returns the source's local ID.
+    auto take = [&](graph::NodeId v) {
+        const graph::NodeId local = table_.find_or_insert(v);
+        if (local == static_cast<graph::NodeId>(sg.nodes.size()))
+            sg.nodes.push_back(v);
+        sources[num_src++] = local;
+    };
 
     LayerBlock &blk = sg.blocks[0];
 
@@ -117,23 +125,18 @@ RandomWalkSampler::sample(std::span<const graph::NodeId> seeds)
         const size_t keep =
             std::min(num_touched, static_cast<size_t>(opts_.top_k));
         for (size_t i = 0; i < keep; ++i) {
-            src_globals[num_src++] = ranked[i].second;
+            take(ranked[i].second);
             ++count;
             ++sg.instances;
         }
         // Self edge so an isolated seed still aggregates itself.
-        src_globals[num_src++] = s;
+        take(s);
         ++count;
         counts[num_counts++] = count;
 
         // Re-zero only the entries this seed touched.
         for (size_t t = 0; t < num_touched; ++t)
             visit_counts_[static_cast<size_t>(touched[t])] = 0;
-    }
-
-    for (size_t e = 0; e < num_src; ++e) {
-        if (table_.insert(src_globals[e]))
-            sg.nodes.push_back(src_globals[e]);
     }
 
     const size_t num_targets = num_counts;
@@ -143,16 +146,15 @@ RandomWalkSampler::sample(std::span<const graph::NodeId> seeds)
     blk.indptr[0] = 0;
     for (size_t t = 0; t < num_targets; ++t)
         blk.indptr[t + 1] = blk.indptr[t] + counts[t];
-    blk.sources.resize(num_src);
-    for (size_t e = 0; e < num_src; ++e) {
-        blk.sources[e] = table_.lookup(src_globals[e]);
-        FASTGL_CHECK(blk.sources[e] != graph::kInvalidNode,
-                     "walk node missing from ID map");
-    }
+    blk.sources.assign(sources, sources + num_src);
 
+    // Charge each edge walk twice, for the translate lookup it stands
+    // for (see NeighborSampler::sample).
+    const uint64_t edge_probes = table_.probes() - seed_probes;
     sg.id_map.instances = sg.instances;
     sg.id_map.uniques = table_.size();
-    sg.id_map.probes = static_cast<int64_t>(table_.probes());
+    sg.id_map.probes =
+        static_cast<int64_t>(seed_probes + 2 * edge_probes);
     return sg;
 }
 
