@@ -88,6 +88,7 @@ class IdMap
     std::vector<graph::NodeId> local_to_global() const;
 
   private:
+    /** Key and local ID share a slot, so a hit reads one cache line. */
     struct Slot
     {
         graph::NodeId key;
