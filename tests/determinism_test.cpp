@@ -224,6 +224,7 @@ TEST(Determinism, PipelineEpochDigestIsPinned)
 struct TrainerDigestCase
 {
     const char *name;
+    compute::ModelType model;
     store::StorageKind storage;
     int prefetch_depth;
     float input_dropout;
@@ -235,16 +236,23 @@ struct TrainerDigestCase
  * when sampling, the numeric path, the residency model or the
  * epoch's batch order change behaviour. NVMe holds a quarter of the
  * rows in host DRAM, so every depth stages and demand-reads blocks.
+ * The first four cases train GCN; the last two train GIN and GAT, so
+ * every layer type's forward and backward is pinned through whole
+ * epochs, not only against another loop over the same layers.
  */
 constexpr TrainerDigestCase kTrainerDigestCases[] = {
-    {"in_memory_dropout", store::StorageKind::kNone, 0, 0.1f,
-     0x7D6BBF6466A55E27ULL},
-    {"nvme_depth0", store::StorageKind::kNvme, 0, 0.0f,
-     0x578B4191A2DAD71FULL},
-    {"nvme_depth1", store::StorageKind::kNvme, 1, 0.0f,
-     0x11F938A0624CA2F1ULL},
-    {"nvme_depth4", store::StorageKind::kNvme, 4, 0.0f,
-     0x55E14BECB6B5F88AULL},
+    {"in_memory_dropout", compute::ModelType::kGcn,
+     store::StorageKind::kNone, 0, 0.1f, 0x7D6BBF6466A55E27ULL},
+    {"nvme_depth0", compute::ModelType::kGcn, store::StorageKind::kNvme,
+     0, 0.0f, 0x578B4191A2DAD71FULL},
+    {"nvme_depth1", compute::ModelType::kGcn, store::StorageKind::kNvme,
+     1, 0.0f, 0x11F938A0624CA2F1ULL},
+    {"nvme_depth4", compute::ModelType::kGcn, store::StorageKind::kNvme,
+     4, 0.0f, 0x55E14BECB6B5F88AULL},
+    {"gin_dropout", compute::ModelType::kGin, store::StorageKind::kNone,
+     0, 0.1f, 0x81F23B71C40B06F5ULL},
+    {"gat", compute::ModelType::kGat, store::StorageKind::kNone, 0, 0.0f,
+     0xD13A6E53C6E473F0ULL},
 };
 
 /**
@@ -261,6 +269,7 @@ trainer_epoch_digest(const TrainerDigestCase &c, int width)
     opts.batch_size = 32; // 16 batches of the replica's 503 seeds
     opts.max_batches = 6;
     opts.input_dropout = c.input_dropout;
+    opts.model.type = c.model;
     opts.compute_threads = width;
     opts.gather_threads = width;
     opts.storage.storage = c.storage;

@@ -15,6 +15,7 @@
 #include <map>
 #include <set>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "graph/datasets.h"
@@ -91,6 +92,8 @@ constexpr uint64_t kGoldenOpenLoop = 0x3D9E169AABFB5D9CULL;
 constexpr uint64_t kGoldenClosedLoop = 0xB9F46D67B63D3C70ULL;
 constexpr uint64_t kGoldenLogits = 0xC7A919FD919677B5ULL;
 constexpr uint64_t kGoldenLogitsLargeBatch = 0xBFDD745FDEDB9CA5ULL;
+constexpr uint64_t kGoldenLogitsGin = 0xEBE8746F789D4E45ULL;
+constexpr uint64_t kGoldenLogitsGat = 0x9DBD36101E08E07DULL;
 constexpr uint64_t kGoldenScaledClosedLoop = 0xA1DCA48FD71D930CULL;
 constexpr uint64_t kGoldenScaledClosedProfile = 0x5D1CB2E2085B3705ULL;
 
@@ -1132,6 +1135,28 @@ TEST(ServeGolden, RealForwardFingerprintIsPinnedAtAnyWidth)
         server.serve(make_trace(server, 2000.0, 64));
         EXPECT_EQ(server.last_stats().fingerprint, kGoldenLogits)
             << "workers=" << workers;
+    }
+}
+
+TEST(ServeGolden, RealForwardGinAndGatTiersArePinnedAtAnyWidth)
+{
+    // The default tier serves GCN; these pin the other two layer types'
+    // serving forwards, at engine width 1 and 4.
+    const std::pair<compute::ModelType, uint64_t> tiers[] = {
+        {compute::ModelType::kGin, kGoldenLogitsGin},
+        {compute::ModelType::kGat, kGoldenLogitsGat},
+    };
+    for (const auto &[type, golden] : tiers) {
+        for (int width : {1, 4}) {
+            auto opts = base_server_options();
+            opts.model.type = type;
+            opts.compute_logits = true;
+            opts.compute_threads = width;
+            serve::Server server(products(), opts);
+            server.serve(make_trace(server, 2000.0, 64));
+            EXPECT_EQ(server.last_stats().fingerprint, golden)
+                << compute::model_type_name(type) << " width=" << width;
+        }
     }
 }
 
