@@ -24,7 +24,7 @@ GatLayer::GatLayer(int64_t in_dim, int num_heads, int64_t head_dim,
     attn_r_ = Parameter(Tensor::randn(num_heads, head_dim, rng, scale));
 }
 
-Tensor
+const Tensor &
 GatLayer::forward(const sample::LayerBlock &block, const Tensor &input)
 {
     FASTGL_CHECK(input.cols() == in_dim_, "gat input dim mismatch");
@@ -34,14 +34,16 @@ GatLayer::forward(const sample::LayerBlock &block, const Tensor &input)
     const int64_t edges = block.num_edges();
     const int64_t dh = head_dim_;
 
+    // Only the attention output accumulates, so it alone is
+    // zero-filled; every other tensor is overwritten whole.
     saved_input_ = input;
-    projected_ = Tensor(input_rows_, out_dim());
+    projected_.reshape(input_rows_, out_dim());
     engine_->gemm(input, weight_.value, projected_);
 
     // Per-row attention logits s_l (targets) and s_r (sources):
     // row-parallel, rows are independent.
-    Tensor s_l(input_rows_, num_heads_);
-    Tensor s_r(input_rows_, num_heads_);
+    s_l_.reshape(input_rows_, num_heads_);
+    s_r_.reshape(input_rows_, num_heads_);
     engine_->parallel_rows(input_rows_, [&](int64_t r0, int64_t r1) {
         for (int64_t r = r0; r < r1; ++r) {
             const float *z = projected_.data() + r * out_dim();
@@ -53,23 +55,23 @@ GatLayer::forward(const sample::LayerBlock &block, const Tensor &input)
                     accl += al[d] * z[h * dh + d];
                     accr += ar[d] * z[h * dh + d];
                 }
-                s_l.at(r, h) = accl;
-                s_r.at(r, h) = accr;
+                s_l_.at(r, h) = accl;
+                s_r_.at(r, h) = accr;
             }
         }
     });
 
     // Edge scores with LeakyReLU, then a per-target softmax:
     // target-parallel, each target owns its edge rows.
-    pre_scores_ = Tensor(edges, num_heads_);
-    alpha_ = Tensor(edges, num_heads_);
+    pre_scores_.reshape(edges, num_heads_);
+    alpha_.reshape(edges, num_heads_);
     engine_->parallel_rows(targets, [&](int64_t t0, int64_t t1) {
       for (int64_t t = t0; t < t1; ++t) {
         for (graph::EdgeId e = block.indptr[t]; e < block.indptr[t + 1];
              ++e) {
             const graph::NodeId v = block.sources[e];
             for (int h = 0; h < num_heads_; ++h)
-                pre_scores_.at(e, h) = s_l.at(t, h) + s_r.at(v, h);
+                pre_scores_.at(e, h) = s_l_.at(t, h) + s_r_.at(v, h);
         }
         // softmax over this target's edges, per head (numerically stable).
         for (int h = 0; h < num_heads_; ++h) {
@@ -102,10 +104,11 @@ GatLayer::forward(const sample::LayerBlock &block, const Tensor &input)
 
     // Weighted aggregation of projected features, per head:
     // target-parallel, each target owns its output row.
-    Tensor out(targets, out_dim());
+    output_.reshape(targets, out_dim());
+    output_.fill_zero();
     engine_->parallel_rows(targets, [&](int64_t t0, int64_t t1) {
       for (int64_t t = t0; t < t1; ++t) {
-        float *dst = out.data() + t * out_dim();
+        float *dst = output_.data() + t * out_dim();
         for (graph::EdgeId e = block.indptr[t]; e < block.indptr[t + 1];
              ++e) {
             const graph::NodeId v = block.sources[e];
@@ -119,20 +122,18 @@ GatLayer::forward(const sample::LayerBlock &block, const Tensor &input)
       }
     });
     if (apply_elu_)
-        elu_forward(out);
-    output_ = out;
-    return out;
+        elu_forward(output_);
+    return output_;
 }
 
 Tensor
-GatLayer::backward_impl(const sample::LayerBlock &block,
-                        const Tensor &grad_output, bool need_input_grad)
+GatLayer::backward_impl(const sample::LayerBlock &block, Tensor &grad,
+                        bool need_input_grad)
 {
     const int64_t edges = block.num_edges();
     const int64_t targets = block.num_targets();
     const int64_t dh = head_dim_;
 
-    Tensor grad = grad_output;
     if (apply_elu_)
         elu_backward(output_, grad);
 
@@ -146,7 +147,7 @@ GatLayer::backward_impl(const sample::LayerBlock &block,
     const sample::ReverseCsr &rc = block.reverse_csr();
 
     // d/d alpha (target-parallel: one write per edge row).
-    Tensor grad_alpha(edges, num_heads_);
+    grad_alpha_.reshape(edges, num_heads_);
     engine_->parallel_rows(targets, [&](int64_t t0, int64_t t1) {
       for (int64_t t = t0; t < t1; ++t) {
         const float *g = grad.data() + t * out_dim();
@@ -158,17 +159,19 @@ GatLayer::backward_impl(const sample::LayerBlock &block,
                 float acc = 0.0f;
                 for (int64_t d = 0; d < dh; ++d)
                     acc += g[h * dh + d] * z[h * dh + d];
-                grad_alpha.at(e, h) = acc;
+                grad_alpha_.at(e, h) = acc;
             }
         }
       }
     });
 
-    // d/d z, aggregation part (source-parallel gather).
-    Tensor grad_z(input_rows_, out_dim());
+    // d/d z, aggregation part (source-parallel gather). grad_z,
+    // grad_sl and grad_sr accumulate, so they are zero-filled.
+    grad_z_.reshape(input_rows_, out_dim());
+    grad_z_.fill_zero();
     engine_->parallel_rows(rc.num_sources, [&](int64_t v0, int64_t v1) {
       for (int64_t v = v0; v < v1; ++v) {
-        float *gz = grad_z.data() + v * out_dim();
+        float *gz = grad_z_.data() + v * out_dim();
         for (graph::EdgeId i = rc.indptr[v]; i < rc.indptr[v + 1]; ++i) {
             const graph::EdgeId e = rc.edge_ids[i];
             const graph::NodeId t = rc.edge_targets[i];
@@ -185,25 +188,27 @@ GatLayer::backward_impl(const sample::LayerBlock &block,
     // Softmax + LeakyReLU backward. Pass one (target-parallel) writes
     // the per-edge score gradient gs and the target-keyed grad_sl; pass
     // two gathers gs into the source-keyed grad_sr.
-    Tensor gs_scores(edges, num_heads_);
-    Tensor grad_sl(input_rows_, num_heads_);
-    Tensor grad_sr(input_rows_, num_heads_);
+    gs_scores_.reshape(edges, num_heads_);
+    grad_sl_.reshape(input_rows_, num_heads_);
+    grad_sl_.fill_zero();
+    grad_sr_.reshape(input_rows_, num_heads_);
+    grad_sr_.fill_zero();
     engine_->parallel_rows(targets, [&](int64_t t0, int64_t t1) {
       for (int64_t t = t0; t < t1; ++t) {
         for (int h = 0; h < num_heads_; ++h) {
             float dot = 0.0f;
             for (graph::EdgeId e = block.indptr[t];
                  e < block.indptr[t + 1]; ++e)
-                dot += alpha_.at(e, h) * grad_alpha.at(e, h);
+                dot += alpha_.at(e, h) * grad_alpha_.at(e, h);
             for (graph::EdgeId e = block.indptr[t];
                  e < block.indptr[t + 1]; ++e) {
                 float gs =
-                    alpha_.at(e, h) * (grad_alpha.at(e, h) - dot);
+                    alpha_.at(e, h) * (grad_alpha_.at(e, h) - dot);
                 const float pre = pre_scores_.at(e, h);
                 if (pre <= 0.0f)
                     gs *= kLeakySlope;
-                gs_scores.at(e, h) = gs;
-                grad_sl.at(t, h) += gs;
+                gs_scores_.at(e, h) = gs;
+                grad_sl_.at(t, h) += gs;
             }
         }
       }
@@ -213,7 +218,7 @@ GatLayer::backward_impl(const sample::LayerBlock &block,
         for (graph::EdgeId i = rc.indptr[v]; i < rc.indptr[v + 1]; ++i) {
             const graph::EdgeId e = rc.edge_ids[i];
             for (int h = 0; h < num_heads_; ++h)
-                grad_sr.at(v, h) += gs_scores.at(e, h);
+                grad_sr_.at(v, h) += gs_scores_.at(e, h);
         }
       }
     });
@@ -228,10 +233,10 @@ GatLayer::backward_impl(const sample::LayerBlock &block,
         float *gal = attn_l_.grad.data() + h * dh;
         float *gar = attn_r_.grad.data() + h * dh;
         for (int64_t r = 0; r < input_rows_; ++r) {
-            float *gz = grad_z.data() + r * out_dim();
+            float *gz = grad_z_.data() + r * out_dim();
             const float *z = projected_.data() + r * out_dim();
-            const float gl = grad_sl.at(r, h);
-            const float gr = grad_sr.at(r, h);
+            const float gl = grad_sl_.at(r, h);
+            const float gr = grad_sr_.at(r, h);
             for (int64_t d = 0; d < dh; ++d) {
                 gz[h * dh + d] += gl * al[d] + gr * ar[d];
                 gal[d] += gl * z[h * dh + d];
@@ -245,7 +250,7 @@ GatLayer::backward_impl(const sample::LayerBlock &block,
     Tensor grad_weight(in_dim_, out_dim());
     FASTGL_CHECK(saved_input_.rows() == input_rows_,
                  "backward without matching forward");
-    engine_->gemm_ta(saved_input_, grad_z, grad_weight);
+    engine_->gemm_ta(saved_input_, grad_z_, grad_weight);
     weight_.grad.add_scaled(grad_weight, 1.0f);
 
     // grad_z also fed grad_W and the attention gradients above, so only
@@ -254,7 +259,7 @@ GatLayer::backward_impl(const sample::LayerBlock &block,
         return Tensor();
 
     Tensor grad_input(input_rows_, in_dim_);
-    engine_->gemm_tb(grad_z, weight_.value, grad_input);
+    engine_->gemm_tb(grad_z_, weight_.value, grad_input);
     return grad_input;
 }
 

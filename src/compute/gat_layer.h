@@ -30,8 +30,8 @@ class GatLayer : public GnnLayer
     GatLayer(int64_t in_dim, int num_heads, int64_t head_dim,
              bool apply_elu, util::Rng &rng);
 
-    Tensor forward(const sample::LayerBlock &block,
-                   const Tensor &input) override;
+    const Tensor &forward(const sample::LayerBlock &block,
+                          const Tensor &input) override;
     std::vector<Parameter *> parameters() override;
 
     int64_t in_dim() const override { return in_dim_; }
@@ -42,7 +42,7 @@ class GatLayer : public GnnLayer
 
   protected:
     Tensor backward_impl(const sample::LayerBlock &block,
-                         const Tensor &grad_output,
+                         Tensor &grad_output,
                          bool need_input_grad) override;
 
   private:
@@ -56,13 +56,22 @@ class GatLayer : public GnnLayer
     Parameter attn_l_; ///< [heads x head_dim]
     Parameter attn_r_; ///< [heads x head_dim]
 
-    // Forward context.
-    Tensor saved_input_; ///< forward input (needed for grad_W)
+    // Forward context, reshaped in place every step.
+    /** Deep copy of the forward input (grad_W needs it): the caller
+     *  owns the input and may change or free it before backward. */
+    Tensor saved_input_;
     Tensor projected_;  ///< Z = input * W, [src_rows x heads*head_dim]
     Tensor pre_scores_; ///< pre-activation edge scores [edges x heads]
     Tensor alpha_;      ///< attention coefficients [edges x heads]
     Tensor output_;     ///< post-ELU output
     int64_t input_rows_ = 0;
+
+    // Forward and backward scratch, reshaped in place every step.
+    Tensor s_l_, s_r_;      ///< per-row attention logits [src_rows x heads]
+    Tensor grad_alpha_;     ///< [edges x heads]
+    Tensor gs_scores_;      ///< [edges x heads]
+    Tensor grad_z_;         ///< [src_rows x heads*head_dim]
+    Tensor grad_sl_, grad_sr_; ///< [src_rows x heads]
 };
 
 } // namespace compute

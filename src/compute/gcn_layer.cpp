@@ -19,32 +19,32 @@ GcnLayer::GcnLayer(int64_t in_dim, int64_t out_dim, bool apply_relu,
     bias_ = Parameter(Tensor::zeros(1, out_dim));
 }
 
-Tensor
+const Tensor &
 GcnLayer::forward(const sample::LayerBlock &block, const Tensor &input)
 {
     FASTGL_CHECK(input.cols() == in_dim_, "gcn input dim mismatch");
     input_rows_ = input.rows();
     edge_weights_ = gcn_edge_weights(block);
 
-    aggregated_ = Tensor(block.num_targets(), in_dim_);
+    // Both kernels overwrite every element, so neither tensor is
+    // zero-filled first.
+    aggregated_.reshape(block.num_targets(), in_dim_);
     engine_->aggregate_forward(block, edge_weights_, input, aggregated_);
 
     // Fused update: gemm + bias + (optional) ReLU in one pass.
-    Tensor out(block.num_targets(), out_dim_);
+    output_.reshape(block.num_targets(), out_dim_);
     engine_->gemm_fused(aggregated_, weight_.value, &bias_.value,
                         apply_relu_ ? Activation::kRelu
                                     : Activation::kNone,
-                        0.0f, out);
-    output_ = out;
-    return out;
+                        0.0f, output_);
+    return output_;
 }
 
 Tensor
-GcnLayer::backward_impl(const sample::LayerBlock &block,
-                        const Tensor &grad_output, bool need_input_grad)
+GcnLayer::backward_impl(const sample::LayerBlock &block, Tensor &grad,
+                        bool need_input_grad)
 {
     // Fused ReLU mask + bias column sums, one pass over grad.
-    Tensor grad = grad_output;
     Tensor grad_bias(1, out_dim_);
     engine_->activation_bias_backward(output_,
                                       apply_relu_ ? Activation::kRelu
@@ -62,11 +62,12 @@ GcnLayer::backward_impl(const sample::LayerBlock &block,
 
     // Gradient w.r.t. the aggregated features, then Eq. 5 back through
     // the aggregation.
-    Tensor grad_agg(block.num_targets(), in_dim_);
-    engine_->gemm_tb(grad, weight_.value, grad_agg);
+    grad_agg_.reshape(block.num_targets(), in_dim_);
+    engine_->gemm_tb(grad, weight_.value, grad_agg_);
 
+    // Zero-filled: aggregate_backward accumulates into it.
     Tensor grad_input(input_rows_, in_dim_);
-    engine_->aggregate_backward(block, edge_weights_, grad_agg,
+    engine_->aggregate_backward(block, edge_weights_, grad_agg_,
                                 grad_input);
     return grad_input;
 }

@@ -25,8 +25,8 @@ class GcnLayer : public GnnLayer
     GcnLayer(int64_t in_dim, int64_t out_dim, bool apply_relu,
              util::Rng &rng);
 
-    Tensor forward(const sample::LayerBlock &block,
-                   const Tensor &input) override;
+    const Tensor &forward(const sample::LayerBlock &block,
+                          const Tensor &input) override;
     std::vector<Parameter *> parameters() override;
 
     int64_t in_dim() const override { return in_dim_; }
@@ -35,7 +35,7 @@ class GcnLayer : public GnnLayer
 
   protected:
     Tensor backward_impl(const sample::LayerBlock &block,
-                         const Tensor &grad_output,
+                         Tensor &grad_output,
                          bool need_input_grad) override;
 
   private:
@@ -45,11 +45,13 @@ class GcnLayer : public GnnLayer
     Parameter weight_; ///< [in_dim x out_dim]
     Parameter bias_;   ///< [1 x out_dim]
 
-    // Forward context.
+    // Forward context, reshaped in place every step.
     std::vector<float> edge_weights_;
     Tensor aggregated_; ///< [targets x in_dim]
     Tensor output_;     ///< post-activation (for ReLU backward)
     int64_t input_rows_ = 0;
+
+    Tensor grad_agg_; ///< Backward scratch [targets x in_dim].
 };
 
 } // namespace compute

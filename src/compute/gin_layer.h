@@ -22,8 +22,8 @@ class GinLayer : public GnnLayer
     GinLayer(int64_t in_dim, int64_t out_dim, bool apply_final_relu,
              util::Rng &rng);
 
-    Tensor forward(const sample::LayerBlock &block,
-                   const Tensor &input) override;
+    const Tensor &forward(const sample::LayerBlock &block,
+                          const Tensor &input) override;
     std::vector<Parameter *> parameters() override;
 
     int64_t in_dim() const override { return in_dim_; }
@@ -32,7 +32,7 @@ class GinLayer : public GnnLayer
 
   protected:
     Tensor backward_impl(const sample::LayerBlock &block,
-                         const Tensor &grad_output,
+                         Tensor &grad_output,
                          bool need_input_grad) override;
 
   private:
@@ -45,12 +45,16 @@ class GinLayer : public GnnLayer
     Parameter w2_; ///< [hidden x out]
     Parameter b2_; ///< [1 x out]
 
-    // Forward context.
+    // Forward context, reshaped in place every step.
     std::vector<float> edge_weights_;
     Tensor aggregated_; ///< [targets x in_dim]
     Tensor hidden_;     ///< post-ReLU MLP hidden activations
     Tensor output_;
     int64_t input_rows_ = 0;
+
+    // Backward scratch, reshaped in place every step.
+    Tensor grad_hidden_; ///< [targets x hidden]
+    Tensor grad_agg_;    ///< [targets x in_dim]
 };
 
 } // namespace compute

@@ -33,19 +33,27 @@ class GnnLayer
     }
 
     /**
-     * Forward pass over @p block.
+     * Forward pass over @p block. The layer writes its aggregation and
+     * its output once, into tensors it keeps for backward and reshapes
+     * in place every call (docs/compute_kernels.md, "What forward
+     * keeps").
      * @param input features of all source local IDs ([src_rows x in_dim];
-     *        target local IDs index into the same rows)
-     * @return output features [block.num_targets() x out_dim()]
+     *        target local IDs index into the same rows). Read in place
+     *        during the call; the layer keeps no reference to it.
+     * @return output features [block.num_targets() x out_dim()], the
+     *         layer's own tensor: valid until this layer's next forward
+     *         (or its destruction). Copy it to keep it longer.
      */
-    virtual Tensor forward(const sample::LayerBlock &block,
-                           const Tensor &input) = 0;
+    virtual const Tensor &forward(const sample::LayerBlock &block,
+                                  const Tensor &input) = 0;
 
     /**
      * Backward pass; must follow the matching forward. Accumulates every
      * parameter gradient.
      * @param block           the block the matching forward ran on
-     * @param grad_output     gradient w.r.t. the forward output
+     * @param grad_output     gradient w.r.t. the forward output. Taken
+     *        by value and masked in place, so a caller that moves it in
+     *        copies nothing.
      * @param need_input_grad false skips the kernels that only produce
      *        the input gradient (a model's input-side layer, whose input
      *        is the raw features); parameter gradients are bit-identical
@@ -54,7 +62,7 @@ class GnnLayer
      *         or an empty Tensor when @p need_input_grad is false
      */
     Tensor
-    backward(const sample::LayerBlock &block, const Tensor &grad_output,
+    backward(const sample::LayerBlock &block, Tensor grad_output,
              bool need_input_grad = true)
     {
         return backward_impl(block, grad_output, need_input_grad);
@@ -68,9 +76,10 @@ class GnnLayer
     virtual std::string name() const = 0;
 
   protected:
-    /** backward() without its default argument (see there). */
+    /** backward() without its default argument (see there);
+     *  @p grad_output is the call's own tensor, free to mask in place. */
     virtual Tensor backward_impl(const sample::LayerBlock &block,
-                                 const Tensor &grad_output,
+                                 Tensor &grad_output,
                                  bool need_input_grad) = 0;
 
     /** Kernel engine the forward/backward passes run on. */

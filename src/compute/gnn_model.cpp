@@ -1,5 +1,7 @@
 #include "compute/gnn_model.h"
 
+#include <utility>
+
 #include "compute/gat_layer.h"
 #include "compute/gcn_layer.h"
 #include "compute/gin_layer.h"
@@ -70,13 +72,14 @@ GnnModel::forward(const sample::SampledSubgraph &sg,
                  "one feature row per subgraph node required");
 
     // Layer l consumes block[num_layers-1-l]: the outermost sampled block
-    // feeds the input-side layer.
-    Tensor h = input_features;
+    // feeds the input-side layer. Each layer reads its input where it
+    // lies and keeps its output, so only the logits are copied.
+    const Tensor *h = &input_features;
     for (size_t l = 0; l < layers_.size(); ++l) {
         const auto &block = sg.blocks[layers_.size() - 1 - l];
-        h = layers_[l]->forward(block, h);
+        h = &layers_[l]->forward(block, *h);
     }
-    return h;
+    return *h;
 }
 
 void
@@ -84,11 +87,12 @@ GnnModel::backward(const sample::SampledSubgraph &sg,
                    const Tensor &grad_logits)
 {
     // The input-side layer's input is the raw features, a leaf: its
-    // gradient is never read, so layer 0 skips computing it.
+    // gradient is never read, so layer 0 skips computing it. Each
+    // gradient moves into the layer below, which masks it in place.
     Tensor grad = grad_logits;
     for (size_t l = layers_.size(); l-- > 0;) {
         const auto &block = sg.blocks[layers_.size() - 1 - l];
-        grad = layers_[l]->backward(block, grad, l > 0);
+        grad = layers_[l]->backward(block, std::move(grad), l > 0);
     }
 }
 

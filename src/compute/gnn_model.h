@@ -42,8 +42,12 @@ class GnnModel
 
     /**
      * Forward pass: @p input_features holds one row per subgraph node
-     * (local-ID order). Requires sg.blocks.size() == num_layers.
-     * @return logits for the seed rows [sg.num_seeds x num_classes].
+     * (local-ID order). Requires sg.blocks.size() == num_layers. The
+     * input-side layer reads @p input_features in place (a view over a
+     * gathered panel stays a view), and every layer keeps its output
+     * for backward, so no activation is copied.
+     * @return logits for the seed rows [sg.num_seeds x num_classes],
+     *         a copy the caller owns.
      */
     Tensor forward(const sample::SampledSubgraph &sg,
                    const Tensor &input_features);
@@ -51,6 +55,8 @@ class GnnModel
     /**
      * Backward from @p grad_logits; accumulates parameter grads. The
      * input features are leaves: no gradient is computed for them.
+     * @p grad_logits is copied once; each layer's input gradient then
+     * moves into the layer below, which masks it in place.
      */
     void backward(const sample::SampledSubgraph &sg,
                   const Tensor &grad_logits);

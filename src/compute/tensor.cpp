@@ -54,6 +54,20 @@ Tensor::view(float *data, int64_t rows, int64_t cols)
     return t;
 }
 
+void
+Tensor::reshape(int64_t rows, int64_t cols)
+{
+    FASTGL_CHECK(rows >= 0 && cols >= 0, "negative tensor shape");
+    const size_t n = static_cast<size_t>(rows * cols);
+    view_ = nullptr;
+    if (data_.size() < n) {
+        data_.clear(); // nothing to keep: growing copies no element
+        data_.resize(n);
+    }
+    rows_ = rows;
+    cols_ = cols;
+}
+
 Tensor
 Tensor::randn(int64_t rows, int64_t cols, util::Rng &rng, float scale)
 {

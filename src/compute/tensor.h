@@ -57,6 +57,16 @@ class Tensor
     /** True when this tensor borrows external storage (a view). */
     bool is_view() const { return view_ != nullptr; }
 
+    /**
+     * Make this an owning [rows x cols] tensor whose element values are
+     * unspecified: the caller overwrites every element or calls
+     * fill_zero(). The allocation is kept whenever it already holds
+     * rows*cols floats, so a layer that reshapes the same tensor every
+     * step allocates only when a step outgrows every earlier one. A
+     * view stops borrowing.
+     */
+    void reshape(int64_t rows, int64_t cols);
+
     int64_t rows() const { return rows_; }
     int64_t cols() const { return cols_; }
     int64_t numel() const { return rows_ * cols_; }
@@ -109,7 +119,7 @@ class Tensor
   private:
     int64_t rows_ = 0;
     int64_t cols_ = 0;
-    std::vector<float> data_;
+    std::vector<float> data_; ///< At least numel() floats when owning.
     float *view_ = nullptr; ///< Non-null when borrowing external storage.
 };
 

@@ -1,5 +1,6 @@
 #include "core/trainer.h"
 
+#include <cmath>
 #include <deque>
 #include <exception>
 #include <optional>
@@ -32,11 +33,34 @@ panel_view(match::FeaturePanel &panel)
     return compute::Tensor::view(panel.data(), panel.rows(), panel.dim());
 }
 
+/** @p opts, once every option that would otherwise be silently
+ *  coerced is in range (NaN fails every range check). */
+TrainerOptions
+validated(TrainerOptions opts)
+{
+    FASTGL_CHECK(std::isfinite(opts.learning_rate) &&
+                     opts.learning_rate > 0.0f,
+                 "Trainer needs a finite learning rate > 0");
+    FASTGL_CHECK(opts.input_dropout >= 0.0f && opts.input_dropout < 1.0f,
+                 "Trainer needs an input dropout in [0, 1)");
+    FASTGL_CHECK(opts.batch_size >= 0,
+                 "Trainer needs a batch size >= 0 (0 = dataset default)");
+    FASTGL_CHECK(opts.max_batches >= 0,
+                 "Trainer needs max_batches >= 0 (0 = all)");
+    FASTGL_CHECK(opts.compute_threads >= 0,
+                 "Trainer needs compute_threads >= 0 (0 = all cores)");
+    FASTGL_CHECK(opts.num_gpus >= 1, "Trainer needs num_gpus >= 1");
+    FASTGL_CHECK(opts.feature_cache_ratio >= 0.0 &&
+                     opts.feature_cache_ratio <= 1.0,
+                 "Trainer needs a feature cache ratio in [0, 1]");
+    return opts;
+}
+
 } // namespace
 
 Trainer::Trainer(const graph::Dataset &dataset, TrainerOptions opts)
     : dataset_(dataset),
-      opts_(std::move(opts)),
+      opts_(validated(std::move(opts))),
       engine_(std::make_unique<compute::KernelEngine>(
           opts_.compute_threads)),
       cost_model_(sim::rtx3090(), compute::ComputePlan::kMemoryAware),
@@ -289,7 +313,7 @@ Trainer::train_epoch()
     stats.measured_compute = engine_->stats();
     stats.gather = gather_engine_->stats();
     stats.handoff_queue = handoff.stats();
-    stats.num_gpus = std::max(1, opts_.num_gpus);
+    stats.num_gpus = opts_.num_gpus;
     stats.residency = residency_->stats();
     stats.modelled_epoch_seconds = stats.modelled_compute_seconds +
                                    stats.residency.store.stall_seconds;

@@ -12,15 +12,20 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "compute/aggregate.h"
 #include "compute/gat_layer.h"
 #include "compute/gcn_layer.h"
 #include "compute/gin_layer.h"
+#include "compute/gnn_model.h"
 #include "compute/kernel_engine.h"
 #include "compute/ops.h"
+#include "graph/generators.h"
 #include "sample/minibatch.h"
+#include "sample/neighbor_sampler.h"
 #include "util/fnv.h"
 #include "util/rng.h"
 
@@ -794,6 +799,147 @@ TEST(ComputeKernels, LayerOutputsBitIdenticalAcrossEngineWidths)
                 << threads << " threads";
             EXPECT_TRUE(bitwise_equal(ref_grad, gin))
                 << threads << " threads";
+        }
+    }
+}
+
+/** One forward and backward step's results, copied out of the layer. */
+struct StepBits
+{
+    Tensor out;
+    Tensor grad_input;
+    std::vector<Tensor> param_grads;
+};
+
+StepBits
+layer_step(compute::GnnLayer &layer, const sample::LayerBlock &blk,
+           const Tensor &input, const Tensor &grad_out)
+{
+    for (compute::Parameter *p : layer.parameters())
+        p->zero_grad();
+    StepBits s;
+    s.out = layer.forward(blk, input);
+    s.grad_input = layer.backward(blk, grad_out);
+    for (compute::Parameter *p : layer.parameters())
+        s.param_grads.push_back(p->grad);
+    return s;
+}
+
+StepBits
+model_step(compute::GnnModel &model, const sample::SampledSubgraph &sg,
+           const Tensor &input, const Tensor &grad_logits)
+{
+    model.zero_grad();
+    StepBits s;
+    s.out = model.forward(sg, input);
+    model.backward(sg, grad_logits);
+    for (compute::Parameter *p : model.parameters())
+        s.param_grads.push_back(p->grad);
+    return s;
+}
+
+void
+expect_same_bits(const StepBits &want, const StepBits &got,
+                 const std::string &where)
+{
+    EXPECT_TRUE(bitwise_equal(want.out, got.out)) << where << " output";
+    EXPECT_TRUE(bitwise_equal(want.grad_input, got.grad_input))
+        << where << " input gradient";
+    ASSERT_EQ(want.param_grads.size(), got.param_grads.size()) << where;
+    for (size_t i = 0; i < want.param_grads.size(); ++i)
+        EXPECT_TRUE(bitwise_equal(want.param_grads[i], got.param_grads[i]))
+            << where << " parameter " << i;
+}
+
+/**
+ * Layers reshape the tensors they keep in place from step to step, so
+ * a step after a larger one runs over stale storage. On a sampled
+ * block, then a smaller one, then a larger one, one layer object and
+ * one GnnModel must give the bits a freshly built one gives.
+ */
+TEST(ComputeKernels, ReusedLayerStorageMatchesFreshLayersBitwise)
+{
+    constexpr int64_t kIn = 12;
+    const graph::CsrGraph g = graph::generate_ring(400, 6, 3);
+    const std::vector<std::vector<graph::NodeId>> seed_sets = {
+        {1, 50, 99, 150, 200, 260},
+        {7, 300},
+        {2, 40, 80, 120, 160, 210, 240, 280, 330, 390}};
+    for (const compute::ModelType type :
+         {compute::ModelType::kGcn, compute::ModelType::kGin,
+          compute::ModelType::kGat}) {
+        compute::ModelConfig cfg;
+        cfg.type = type;
+        cfg.in_dim = kIn;
+        cfg.hidden_dim = 16;
+        cfg.num_classes = 5;
+        cfg.num_layers = 2;
+        cfg.gat_heads = 2;
+        cfg.gat_head_dim = 4;
+        auto make_layer = [&]() -> std::unique_ptr<compute::GnnLayer> {
+            util::Rng rng(808);
+            switch (type) {
+              case compute::ModelType::kGcn:
+                return std::make_unique<compute::GcnLayer>(kIn, 8, true,
+                                                           rng);
+              case compute::ModelType::kGin:
+                return std::make_unique<compute::GinLayer>(kIn, 8, true,
+                                                           rng);
+              case compute::ModelType::kGat:
+                return std::make_unique<compute::GatLayer>(kIn, 2, 4,
+                                                           true, rng);
+            }
+            return nullptr;
+        };
+        for (const int width : {1, 4}) {
+            KernelEngine engine(width);
+            const std::unique_ptr<compute::GnnLayer> layer = make_layer();
+            layer->set_engine(&engine);
+            compute::GnnModel model(cfg);
+            model.set_engine(&engine);
+            sample::NeighborSamplerOptions one_hop;
+            one_hop.fanouts = {4};
+            one_hop.seed = 5;
+            sample::NeighborSampler layer_sampler(g, one_hop);
+            sample::NeighborSamplerOptions two_hop;
+            two_hop.fanouts = {3, 4};
+            two_hop.seed = 6;
+            sample::NeighborSampler model_sampler(g, two_hop);
+            for (size_t step = 0; step < seed_sets.size(); ++step) {
+                const std::string where =
+                    std::string(compute::model_type_name(type)) +
+                    " width " + std::to_string(width) + " step " +
+                    std::to_string(step);
+                util::Rng drng(909 + step);
+
+                const sample::SampledSubgraph one =
+                    layer_sampler.sample(seed_sets[step]);
+                const sample::LayerBlock &blk = one.blocks[0];
+                const Tensor input =
+                    Tensor::randn(one.num_nodes(), kIn, drng, 1.0f);
+                const Tensor grad_out = Tensor::randn(
+                    blk.num_targets(), layer->out_dim(), drng, 1.0f);
+                const std::unique_ptr<compute::GnnLayer> fresh =
+                    make_layer();
+                fresh->set_engine(&engine);
+                expect_same_bits(
+                    layer_step(*fresh, blk, input, grad_out),
+                    layer_step(*layer, blk, input, grad_out),
+                    where + " layer");
+
+                const sample::SampledSubgraph two =
+                    model_sampler.sample(seed_sets[step]);
+                const Tensor x =
+                    Tensor::randn(two.num_nodes(), kIn, drng, 1.0f);
+                const Tensor grad_logits = Tensor::randn(
+                    two.num_seeds, cfg.num_classes, drng, 1.0f);
+                compute::GnnModel fresh_model(cfg);
+                fresh_model.set_engine(&engine);
+                expect_same_bits(
+                    model_step(fresh_model, two, x, grad_logits),
+                    model_step(model, two, x, grad_logits),
+                    where + " model");
+            }
         }
     }
 }

@@ -2,9 +2,13 @@
  * @file
  * Tests for the numeric Trainer: real end-to-end training must reduce the
  * loss on the dataset replicas (the paper's Fig. 16 correctness claim),
- * and every batch crosses the producer-to-consumer hand-off once.
+ * and every batch crosses the producer-to-consumer hand-off once. Options
+ * that would be silently coerced are rejected at construction.
  */
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <limits>
 
 #include "core/trainer.h"
 #include "graph/datasets.h"
@@ -180,6 +184,66 @@ TEST(Trainer, FrequencyRecordingOffByDefault)
     opts.batch_size = 16;
     core::Trainer trainer(ds, opts);
     EXPECT_TRUE(trainer.train_epoch().node_frequencies.empty());
+}
+
+using TrainerDeathTest = ::testing::Test;
+
+/** Dies when @p set leaves an option out of range, naming it. */
+void
+expect_rejected(const std::function<void(core::TrainerOptions &)> &set,
+                const char *message)
+{
+    static const graph::Dataset ds = tiny_reddit();
+    core::TrainerOptions opts;
+    opts.fanouts = {2, 2};
+    set(opts);
+    EXPECT_DEATH(core::Trainer(ds, opts), message);
+}
+
+TEST(TrainerDeathTest, RejectsInputDropoutOutsideZeroToOne)
+{
+    for (const float p :
+         {-0.1f, 1.0f, 1.5f, std::numeric_limits<float>::quiet_NaN()})
+        expect_rejected([p](core::TrainerOptions &o) { o.input_dropout = p; },
+                        "input dropout in \\[0, 1\\)");
+}
+
+TEST(TrainerDeathTest, RejectsANonPositiveOrNonFiniteLearningRate)
+{
+    for (const float lr : {0.0f, -1e-3f,
+                           std::numeric_limits<float>::infinity(),
+                           std::numeric_limits<float>::quiet_NaN()})
+        expect_rejected([lr](core::TrainerOptions &o) { o.learning_rate = lr; },
+                        "finite learning rate > 0");
+}
+
+TEST(TrainerDeathTest, RejectsNegativeBatchCounts)
+{
+    expect_rejected([](core::TrainerOptions &o) { o.batch_size = -1; },
+                    "batch size >= 0");
+    expect_rejected([](core::TrainerOptions &o) { o.max_batches = -1; },
+                    "max_batches >= 0");
+}
+
+TEST(TrainerDeathTest, RejectsNegativeComputeThreads)
+{
+    expect_rejected([](core::TrainerOptions &o) { o.compute_threads = -2; },
+                    "compute_threads >= 0");
+}
+
+TEST(TrainerDeathTest, RejectsFewerThanOneGpu)
+{
+    expect_rejected([](core::TrainerOptions &o) { o.num_gpus = 0; },
+                    "num_gpus >= 1");
+}
+
+TEST(TrainerDeathTest, RejectsACacheRatioOutsideZeroToOne)
+{
+    for (const double r :
+         {-0.25, 1.5, std::numeric_limits<double>::quiet_NaN()})
+        expect_rejected(
+            [r](core::TrainerOptions &o) { o.feature_cache_ratio = r; },
+            "feature cache ratio in \\[0, 1\\]");
 }
 
 } // namespace
