@@ -45,7 +45,8 @@ class GnnModel
      * (local-ID order). Requires sg.blocks.size() == num_layers. The
      * input-side layer reads @p input_features in place (a view over a
      * gathered panel stays a view), and every layer keeps its output
-     * for backward, so no activation is copied.
+     * for backward, so the next layer reads it in place. Only GAT
+     * copies its input (docs/compute_kernels.md, "What forward keeps").
      * @return logits for the seed rows [sg.num_seeds x num_classes],
      *         a copy the caller owns.
      */

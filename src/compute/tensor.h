@@ -30,7 +30,11 @@ class Tensor
     /**
      * Copies are always deep and owning — copying a view materialises
      * the borrowed storage (exactly what e.g. GAT's saved-input capture
-     * needs), so no copy ever outlives someone else's buffer.
+     * needs), so no copy ever outlives someone else's buffer. Copy
+     * assignment reuses this tensor's allocation when it is large
+     * enough. The model's forward and backward copy no batch-sized
+     * tensor but GAT's saved input (docs/compute_kernels.md, "What
+     * forward keeps").
      */
     Tensor(const Tensor &other);
     Tensor &operator=(const Tensor &other);

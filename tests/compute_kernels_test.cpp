@@ -160,13 +160,16 @@ legacy_aggregate_backward_weights(const sample::LayerBlock &block,
 
 // ------------------------------------------------------------- helpers
 
+/** Same shape and bytes. An empty tensor's data() may be null, which
+ *  memcmp must not be given even for zero bytes. */
 bool
 bitwise_equal(const Tensor &x, const Tensor &y)
 {
     return x.rows() == y.rows() && x.cols() == y.cols() &&
-           std::memcmp(x.data(), y.data(),
-                       static_cast<size_t>(x.numel()) * sizeof(float)) ==
-               0;
+           (x.numel() == 0 ||
+            std::memcmp(x.data(), y.data(),
+                        static_cast<size_t>(x.numel()) * sizeof(float)) ==
+                0);
 }
 
 /** FNV-1a over a tensor's raw bytes. */
